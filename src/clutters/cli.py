@@ -19,8 +19,12 @@ from .errors import ClutterError, ParseError, TheoremCounterexample
 
 
 def _load(path: str) -> Clutter:
-    with open(path, "r", encoding="utf-8") as handle:
-        return core.parse_clutter(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    return core.parse_clutter(text)
 
 
 def _print_clutter(M: Clutter) -> None:
@@ -90,7 +94,7 @@ def cmd_verify(args) -> int:
     if run_identities:
         sys.stdout.write(enumeration.verify_identities(args.n).render())
     if run_theorem:
-        sys.stdout.write(enumeration.verify_theorem(args.n, jobs=args.jobs).render())
+        sys.stdout.write(enumeration.verify_theorem(args.n).render())
     return 0
 
 
@@ -151,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="K")
     p.add_argument("--identities", action="store_true")
     p.add_argument("--theorem", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -9,9 +9,8 @@ operations preserve the antichain property, and their order never matters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     AntichainViolation,
@@ -145,38 +144,47 @@ def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:
     return out
 
 
-def _lex_subsets(elems: list) -> Iterator[tuple]:
-    """All subsets of a sorted list, in lexicographic order of their sorted tuples."""
-    yield from sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(elems, r) for r in range(len(elems) + 1)
-        )
-    )
+def _parts(M: Clutter) -> dict:
+    """Each element's part: the connected component of the hypergraph with
+    the elements as vertices and the rows as edges."""
+    part = {e: frozenset((e,)) for e in M.ground}
+    for row in M.rows:
+        merged = frozenset().union(*(part[e] for e in row))
+        for e in merged:
+            part[e] = merged
+    return part
 
 
 def find_separation(M: Clutter) -> Optional[Separation]:
     """A witness separation, or None if the clutter is connected.
 
-    Deterministic: candidate left parts containing the least element are tried
-    in lexicographic order and the first valid one wins.
+    Deterministic: of the valid left parts containing the least element, the
+    one whose sorted tuple comes first lexicographically wins.  The valid left
+    parts are the proper unions of components that include the least
+    element's component, so the winner is built greedily: while the smallest
+    element still outside lies below the largest element inside, and its
+    component does not complete the ground, take that component in too.
     """
-    if len(M.ground) <= 1:
+    if not M.ground:
         return None
+    part = _parts(M)
     elems = sorted(M.ground)
-    least, rest = elems[0], elems[1:]
-    for combo in _lex_subsets(rest):
-        left = frozenset((least,) + combo)
-        if len(left) == len(elems):
+    left = part[elems[0]]
+    if left == M.ground:
+        return None
+    for e in elems:
+        if e in left:
             continue
-        right = M.ground - left
-        if all(A <= left or A <= right for A in M.rows):
-            return Separation(left, right)
-    return None
+        if e > max(left) or len(left) + len(part[e]) == len(elems):
+            break
+        left |= part[e]
+    return Separation(left, M.ground - left)
 
 
 def is_connected(M: Clutter) -> bool:
-    """True iff the clutter admits no separation."""
-    return find_separation(M) is None
+    """True iff the clutter admits no separation: the hypergraph of its rows
+    has at most one component."""
+    return len(set(_parts(M).values())) <= 1
 
 
 def canonical_serialize(M: Clutter) -> str:

@@ -11,14 +11,13 @@ reports; counterexamples are report content, not errors.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import core, graphview, minor, splitter
+from . import core, graphview
 from .blocker import blocker
 from .core import Clutter, canonical_serialize
-from .errors import TheoremCounterexample, TooLarge
+from .errors import TooLarge
 
 MAX_GROUND = 5
 
@@ -94,141 +93,125 @@ class VerificationReport:
         return sum(len(r.counterexamples) for r in self.results)
 
 
+def _minors(C: Clutter, rest: tuple, memo: dict) -> tuple:
+    """The distinct minors of C reached by keeping, deleting or contracting
+    each element of the ascending tuple rest.
+
+    They come in first-witness order of the base-3 counter over rest with
+    keep < delete < contract, the order of minor.all_minors.  Deletion and
+    contraction commute, so a sub-walk's result depends only on its clutter
+    and the elements still to decide; memo holds each one computed so far.
+    """
+    found = memo.get((C, rest))
+    if found is None:
+        if rest:
+            v, tail = rest[0], rest[1:]
+            found = tuple(
+                dict.fromkeys(
+                    _minors(C, tail, memo)
+                    + _minors(core.delete(C, v), tail, memo)
+                    + _minors(core.contract(C, v), tail, memo)
+                )
+            )
+        else:
+            found = (C,)
+        memo[(C, rest)] = found
+    return found
+
+
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    seen = {}
-    for spec, N in minor.all_minors(M):
-        if N.ground == M.ground or N in seen:
-            continue
-        seen[N] = spec
-    return [N for N in seen if core.is_connected(N)]
+    walk = _minors(M, tuple(sorted(M.ground)), {})
+    return [N for N in walk if N.ground != M.ground and core.is_connected(N)]
 
 
-def _theorem_work(M: Clutter) -> tuple:
+def verify_theorem(n: int) -> VerificationReport:
+    """Check the splitter property on every connected clutter M on exactly n
+    labeled elements against each of its connected proper minors N.
+
+    A pair passes iff N is a minor of some single removal M\\v or M/v that
+    stays connected; those removals' minor sets come from one memo shared by
+    the whole run.
+    """
+    memo = {}
     tested = passed = 0
     failures = []
-    for N in connected_proper_minors(M):
-        tested += 1
-        try:
-            splitter.find_splitter(M, N)
-            passed += 1
-        except TheoremCounterexample:
-            failures.append(f"M=({_inline(M)})  N=({_inline(N)})")
-    return tested, passed, failures
-
-
-def verify_theorem(n: int, jobs: int = 1) -> VerificationReport:
-    """Run find_splitter on every connected clutter on exactly n labeled
-    elements against each of its connected proper minors."""
-    candidates = list(enumerate_connected(n))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_theorem_work, candidates)
-    else:
-        chunks = [_theorem_work(M) for M in candidates]
-    tested = sum(c[0] for c in chunks)
-    passed = sum(c[1] for c in chunks)
-    failures = tuple(item for c in chunks for item in c[2])
-    result = CheckResult(f"theorem n={n}", tested, passed, failures)
+    for M in enumerate_connected(n):
+        reach = set()
+        for v in sorted(M.ground):
+            for R in (core.delete(M, v), core.contract(M, v)):
+                if core.is_connected(R):
+                    reach.update(_minors(R, tuple(sorted(R.ground)), memo))
+        for N in connected_proper_minors(M):
+            tested += 1
+            if N in reach:
+                passed += 1
+            else:
+                failures.append(f"M=({_inline(M)})  N=({_inline(N)})")
+    result = CheckResult(f"theorem n={n}", tested, passed, tuple(failures))
     return VerificationReport((result,))
 
 
-def _check_commutativity(n: int) -> CheckResult:
+def _tally(name: str, cases: Iterator[tuple], holds, label) -> CheckResult:
+    """Count the cases of one identity family; label names each failure."""
     tested = passed = 0
     failures = []
-    for M in enumerate_clutters(n):
-        for v, w in itertools.permutations(sorted(M.ground), 2):
-            tested += 1
-            ok = (
-                core.delete(core.delete(M, v), w) == core.delete(core.delete(M, w), v)
-                and core.contract(core.contract(M, v), w)
-                == core.contract(core.contract(M, w), v)
-                and core.contract(core.delete(M, v), w)
-                == core.delete(core.contract(M, w), v)
-            )
-            if ok:
-                passed += 1
-            else:
-                failures.append(f"M=({_inline(M)}) v={v} v'={w}")
-    return CheckResult("deletion-contraction-commutativity", tested, passed, tuple(failures))
-
-
-def _check_involution(n: int) -> CheckResult:
-    tested = passed = 0
-    failures = []
-    for M in enumerate_clutters(n):
+    for case in cases:
         tested += 1
-        if blocker(blocker(M)) == M:
+        if holds(*case):
             passed += 1
         else:
-            failures.append(f"M=({_inline(M)})")
-    return CheckResult("blocker-involution", tested, passed, tuple(failures))
+            failures.append(label(*case))
+    return CheckResult(name, tested, passed, tuple(failures))
 
 
-def _check_duality_swap(n: int) -> CheckResult:
-    tested = passed = 0
-    failures = []
-    for M in enumerate_clutters(n):
-        b = blocker(M)
+def _commutes(M: Clutter, v: str, w: str) -> bool:
+    delete, contract = core.delete, core.contract
+    return (
+        delete(delete(M, v), w) == delete(delete(M, w), v)
+        and contract(contract(M, v), w) == contract(contract(M, w), v)
+        and contract(delete(M, v), w) == delete(contract(M, w), v)
+    )
+
+
+def _swaps_duality(M: Clutter, v: str, b: Clutter) -> bool:
+    return blocker(core.delete(M, v)) == core.contract(b, v) and blocker(
+        core.contract(M, v)
+    ) == core.delete(b, v)
+
+
+def _contracts_twin(M: Clutter, v: str, G: graphview.IncidenceGraph) -> bool:
+    contracted = core.contract(M, v)
+    return graphview.incidence_graph(
+        contracted
+    ) == graphview.remove_black_vertex(G, v) and core.is_connected(contracted)
+
+
+def _deletes_neighbourhood(M: Clutter, v: str, G: graphview.IncidenceGraph) -> bool:
+    direct = graphview.incidence_graph(core.delete(M, v))
+    return direct == graphview.delete_closed_neighbourhood(G, v)
+
+
+def _with_elements(clutters: Iterator[Clutter], extra) -> Iterator[tuple]:
+    """(M, v, extra(M)) for every element v of every clutter M."""
+    for M in clutters:
+        side = extra(M)
         for v in sorted(M.ground):
-            tested += 1
-            ok = blocker(core.delete(M, v)) == core.contract(b, v) and blocker(
-                core.contract(M, v)
-            ) == core.delete(b, v)
-            if ok:
-                passed += 1
-            else:
-                failures.append(f"M=({_inline(M)}) v={v}")
-    return CheckResult("duality-swap", tested, passed, tuple(failures))
+            yield M, v, side
 
 
-def _check_connectivity_equivalence(n: int) -> CheckResult:
-    tested = passed = 0
-    failures = []
-    for M in enumerate_clutters(n):
-        tested += 1
-        if graphview.graph_connected_iff_clutter_connected(M):
-            passed += 1
-        else:
-            failures.append(f"M=({_inline(M)})")
-    return CheckResult("connectivity-equivalence", tested, passed, tuple(failures))
+def _with_twins(n: int) -> Iterator[tuple]:
+    for M, v, G in _with_elements(enumerate_connected(n), graphview.incidence_graph):
+        if graphview.twins(G, v):
+            yield M, v, G
 
 
-def _check_twin_contraction(n: int) -> CheckResult:
-    tested = passed = 0
-    failures = []
-    for M in enumerate_clutters(n):
-        if not core.is_connected(M):
-            continue
-        G = graphview.incidence_graph(M)
-        for v in sorted(M.ground):
-            if not graphview.twins(G, v):
-                continue
-            tested += 1
-            contracted = core.contract(M, v)
-            ok = graphview.incidence_graph(contracted) == graphview.remove_black_vertex(
-                G, v
-            ) and core.is_connected(contracted)
-            if ok:
-                passed += 1
-            else:
-                failures.append(f"M=({_inline(M)}) v={v}")
-    return CheckResult("twin-contraction", tested, passed, tuple(failures))
+def _label_m(M: Clutter, *_) -> str:
+    return f"M=({_inline(M)})"
 
 
-def _check_deletion_graph(n: int) -> CheckResult:
-    tested = passed = 0
-    failures = []
-    for M in enumerate_clutters(n):
-        G = graphview.incidence_graph(M)
-        for v in sorted(M.ground):
-            tested += 1
-            direct = graphview.incidence_graph(core.delete(M, v))
-            if direct == graphview.delete_closed_neighbourhood(G, v):
-                passed += 1
-            else:
-                failures.append(f"M=({_inline(M)}) v={v}")
-    return CheckResult("deletion-graph-correspondence", tested, passed, tuple(failures))
+def _label_mv(M: Clutter, v: str, *_) -> str:
+    return f"M=({_inline(M)}) v={v}"
 
 
 def verify_identities(n: int) -> VerificationReport:
@@ -238,13 +221,41 @@ def verify_identities(n: int) -> VerificationReport:
     deletion/graph correspondence."""
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
-    return VerificationReport(
+    families = (
         (
-            _check_commutativity(n),
-            _check_involution(n),
-            _check_duality_swap(n),
-            _check_connectivity_equivalence(n),
-            _check_twin_contraction(n),
-            _check_deletion_graph(n),
-        )
+            "deletion-contraction-commutativity",
+            (
+                (M, v, w)
+                for M in enumerate_clutters(n)
+                for v, w in itertools.permutations(sorted(M.ground), 2)
+            ),
+            _commutes,
+            lambda M, v, w: f"M=({_inline(M)}) v={v} v'={w}",
+        ),
+        (
+            "blocker-involution",
+            ((M,) for M in enumerate_clutters(n)),
+            lambda M: blocker(blocker(M)) == M,
+            _label_m,
+        ),
+        (
+            "duality-swap",
+            _with_elements(enumerate_clutters(n), blocker),
+            _swaps_duality,
+            _label_mv,
+        ),
+        (
+            "connectivity-equivalence",
+            ((M,) for M in enumerate_clutters(n)),
+            graphview.graph_connected_iff_clutter_connected,
+            _label_m,
+        ),
+        ("twin-contraction", _with_twins(n), _contracts_twin, _label_mv),
+        (
+            "deletion-graph-correspondence",
+            _with_elements(enumerate_clutters(n), graphview.incidence_graph),
+            _deletes_neighbourhood,
+            _label_mv,
+        ),
     )
+    return VerificationReport(tuple(_tally(*family) for family in families))

@@ -121,21 +121,9 @@ def k4_graphic_matroid() -> CircuitMatroid:
 
 
 def is_connected(N: CircuitMatroid) -> bool:
-    """Direct definition: no bipartition of the ground keeps every circuit
-    inside one part.  Independent of the clutter-side connectivity check."""
-    elems = sorted(N.ground)
-    if len(elems) <= 1:
-        return True
-    rest = elems[1:]
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            left = frozenset((elems[0],) + combo)
-            right = N.ground - left
-            if not right:
-                continue
-            if all(C <= left or C <= right for C in N.circuits):
-                return False
-    return True
+    """True iff no bipartition of the ground keeps every circuit inside one
+    part: the circuit clutter is connected."""
+    return core.is_connected(circuits_clutter(N))
 
 
 MATROID_HEADER = "matroid-circuits"

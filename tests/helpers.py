@@ -6,7 +6,7 @@ so they can serve as independent cross-checks.
 
 import itertools
 
-from clutters.core import Clutter
+from clutters.core import Clutter, Separation
 
 F = frozenset
 
@@ -35,3 +35,21 @@ def naive_clutters(ground):
     ground = F(ground)
     for family in naive_antichain_families(ground):
         yield Clutter(ground, family)
+
+
+def naive_separation(M):
+    """The lexicographically first separation by brute force over all 2^(n-1)
+    left parts that contain the least element, or None if M is connected."""
+    elems = sorted(M.ground)
+    if len(elems) <= 1:
+        return None
+    least, rest = elems[0], elems[1:]
+    combos = sorted(
+        combo for r in range(len(rest)) for combo in itertools.combinations(rest, r)
+    )
+    for combo in combos:
+        left = F((least,) + combo)
+        right = M.ground - left
+        if all(A <= left or A <= right for A in M.rows):
+            return Separation(left, right)
+    return None

@@ -1,5 +1,7 @@
 """Command-line interface: output bytes and exit codes."""
 
+import signal
+
 import pytest
 
 from clutters.blocker import blocker
@@ -72,6 +74,24 @@ class TestConnected:
     def test_no_data_on_stdout(self, write, capsys):
         main(["connected", write(PATH_TEXT)])
         assert capsys.readouterr().out == ""
+
+    def test_thirty_element_path_is_prompt(self, write):
+        labels = [str(i + 1) for i in range(30)]
+        text = "elements " + " ".join(sorted(labels)) + "\n" + "".join(
+            f"row {' '.join(sorted(labels[i : i + 2]))}\n" for i in range(29)
+        )
+        path = write(text)
+
+        def too_slow(signum, frame):
+            raise AssertionError("'connected' took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            assert main(["connected", path]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestMinor:
@@ -161,6 +181,16 @@ class TestExitCodes:
 
     def test_malformed_file(self, write, capsys):
         assert main(["show", write("bogus\n")]) == 65
+
+    @pytest.mark.parametrize("command", ["show", "connected"])
+    def test_invalid_utf8_is_malformed_input(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"elements 1 \xe9\nrow 1\n")
+        assert main([command, str(path)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_invalid_clutter_is_domain_error(self, write, capsys):
         assert main(["show", write("elements 1 2\nrow 1\nrow 1 2\n")]) == 2

@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import naive_separation
 from clutters import core
 from clutters.core import (
     Clutter,
@@ -184,6 +187,31 @@ class TestFindSeparation:
         M = C("1234", "12", "34")
         assert find_separation(M) == Separation(F("12"), F("34"))
 
+    def test_matches_bipartition_scan_exhaustive(self):
+        checked = 0
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                assert find_separation(M) == naive_separation(M), M
+                checked += 1
+        assert checked == 7780
+
+    def test_string_order_of_labels(self):
+        # "10" < "2" < "3": the least element is "10", and lex order is by string
+        M = new_clutter(["2", "3", "10"], [["2"], ["3", "10"]])
+        assert find_separation(M) == Separation(F({"10", "3"}), F({"2"}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_bipartition_scan_sampled(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        row = st.frozensets(st.sampled_from(labels), max_size=4) if labels else st.just(F())
+        drawn = set(data.draw(st.lists(row, max_size=12), label="rows"))
+        rows = [A for A in drawn if not any(B < A for B in drawn)]
+        M = new_clutter(labels, rows)
+        assert find_separation(M) == naive_separation(M)
+        assert is_connected(M) == (naive_separation(M) is None)
+
 
 class TestIsConnected:
     def test_empty_clutter(self):
@@ -194,6 +222,12 @@ class TestIsConnected:
 
     def test_path(self):
         assert is_connected(C("123", "12", "23"))
+
+    def test_forty_element_path(self):
+        labels = [str(i + 1) for i in range(40)]
+        M = new_clutter(labels, [labels[i : i + 2] for i in range(39)])
+        assert is_connected(M)
+        assert not is_connected(delete(M, "20"))
 
     def test_degenerate_cases(self):
         assert is_connected(C("1"))

@@ -1,9 +1,12 @@
 """Exhaustive enumeration counts and the verification harness."""
 
+import functools
+import hashlib
+
 import pytest
 
 from helpers import naive_clutters
-from clutters.core import is_connected, new_clutter
+from clutters.core import canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
     connected_proper_minors,
     enumerate_clutters,
@@ -11,7 +14,9 @@ from clutters.enumeration import (
     verify_identities,
     verify_theorem,
 )
-from clutters.errors import TooLarge
+from clutters.errors import TheoremCounterexample, TooLarge
+from clutters.minor import all_minors
+from clutters.splitter import find_splitter
 
 F = frozenset
 
@@ -80,14 +85,41 @@ THEOREM_FACTS = {
     2: (6, 0),
     3: (61, 9),
     4: (1806, 16),
+    5: (261321, 25),
 }
+
+# sha256 of verify_theorem(n).render() as produced by the per-pair
+# find_splitter verifier this one replaced
+THEOREM_REPORT_SHA256 = {
+    4: "64d64fca54f76c009fe7a286ea4453b3a28ea7e390df31c1afb3a291c50d9544",
+    5: "e089372013b223ba1ef1a78d30201067e4f87b9e0262aea30917c1a2bfedf8a9",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def theorem_report(n):
+    return verify_theorem(n)
+
+
+def inline(M):
+    return canonical_serialize(M).strip().replace("\n", "; ")
+
+
+def independent_pairs(n):
+    """(M, N) for each connected M and distinct connected proper minor N,
+    recounted from all_minors without the verifier's walk."""
+    for M in enumerate_connected(n):
+        distinct = {N for _, N in all_minors(M) if N.ground < M.ground}
+        for N in distinct:
+            if is_connected(N):
+                yield M, N
 
 
 class TestVerifyTheorem:
     @pytest.mark.parametrize("n,facts", sorted(THEOREM_FACTS.items()))
     def test_pair_and_counterexample_counts(self, n, facts):
         tested, failures = facts
-        report = verify_theorem(n)
+        report = theorem_report(n)
         (result,) = report.results
         assert result.tested == tested
         assert result.passed == tested - failures
@@ -95,15 +127,28 @@ class TestVerifyTheorem:
 
     def test_pair_count_cross_check(self):
         # independent recount of deduplicated connected proper minors
-        from clutters.minor import all_minors
-
         for n in range(4):
-            independent = 0
-            for M in enumerate_connected(n):
-                distinct = {N for _, N in all_minors(M) if N.ground < M.ground}
-                independent += sum(1 for N in distinct if is_connected(N))
+            independent = sum(1 for _ in independent_pairs(n))
             (result,) = verify_theorem(n).results
             assert result.tested == independent
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_counterexamples_are_exactly_find_splitter_failures(self, n):
+        (result,) = theorem_report(n).results
+        reported = set(result.counterexamples)
+        expected = set()
+        for M, N in independent_pairs(n):
+            try:
+                find_splitter(M, N)
+            except TheoremCounterexample:
+                expected.add(f"M=({inline(M)})  N=({inline(N)})")
+        assert reported == expected
+        assert len(result.counterexamples) == len(reported)
+
+    @pytest.mark.parametrize("n", sorted(THEOREM_REPORT_SHA256))
+    def test_report_bytes_pinned(self, n):
+        text = theorem_report(n).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == THEOREM_REPORT_SHA256[n]
 
     def test_counterexamples_all_have_empty_row_targets(self):
         for n in (3, 4):
@@ -118,8 +163,13 @@ class TestVerifyTheorem:
         line = verify_theorem(2).results[0].summary_line()
         assert line == "theorem n=2: tested=6 passed=6 counterexamples=0"
 
-    def test_parallel_matches_serial(self):
-        assert verify_theorem(3, jobs=2).render() == verify_theorem(3).render()
+    def test_connected_proper_minors_first_witness_order(self):
+        for M in enumerate_connected(3):
+            order = {}
+            for _, N in all_minors(M):
+                if N.ground != M.ground and is_connected(N):
+                    order.setdefault(N, len(order))
+            assert connected_proper_minors(M) == list(order)
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])
