@@ -177,8 +177,7 @@ def main(argv: Optional[list] = None) -> int:
         return 65
     except TheoremCounterexample as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.M is not None and exc.N is not None:
-            sys.stderr.write(splitter.counterexample_report(exc.M, exc.N))
+        sys.stderr.write(splitter.counterexample_report(exc.M, exc.N))
         return 2
     except ClutterError as exc:
         print(f"error: {exc}", file=sys.stderr)

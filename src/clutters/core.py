@@ -112,7 +112,8 @@ def delete(M: Clutter, v: str) -> Clutter:
 def minimal_sets(sets: Iterable[frozenset]) -> frozenset:
     """The inclusion-minimal members of a family of sets."""
     kept = []
-    for s in sorted(set(sets), key=row_sort_key):
+    # by cardinality: every proper subset comes before its supersets
+    for s in sorted(set(sets), key=len):
         if not any(t <= s for t in kept):
             kept.append(s)
     return frozenset(kept)

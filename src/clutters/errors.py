@@ -59,7 +59,7 @@ class TheoremCounterexample(ClutterError):
     Carries the offending pair so harnesses can record and report it.
     """
 
-    def __init__(self, message, M=None, N=None):
+    def __init__(self, message, M, N):
         super().__init__(message)
         self.M = M
         self.N = N

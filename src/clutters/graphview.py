@@ -132,7 +132,9 @@ def graph_connected_iff_clutter_connected(M: Clutter) -> bool:
 
     Clutter connectivity and graph connectivity agree for every clutter except
     the one with a single element and one empty row, which is connected while
-    its incidence graph is not.  Always returns True.
+    its incidence graph is not; that clutter returns True.  Any other clutter
+    returns False exactly when the two notions disagree, which the identity
+    verifier counts as a counterexample.
     """
     exceptional = len(M.ground) == 1 and M.rows == frozenset({frozenset()})
     if exceptional:
@@ -163,10 +165,7 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
     """
     _require_black(G, v)
     white_adj = _white_adjacency(G)
-    mapping = {
-        w: "r:" + (",".join(sorted(vs - {v})) if vs - {v} else "-")
-        for w, vs in white_adj.items()
-    }
+    mapping = {w: row_key(vs - {v}) for w, vs in white_adj.items()}
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("removing this black vertex merges white vertices")
     return IncidenceGraph(

@@ -57,43 +57,60 @@ def candidate_elements(M: Clutter, N: Clutter) -> list:
     return first + second + third
 
 
-def find_splitter(M: Clutter, N: Clutter, check: bool = True) -> SplitterStep:
-    """One connectivity- and minor-preserving removal step from M towards N.
+def _attempts(M: Clutter, N: Clutter):
+    """Every candidate removal from M towards N, in search order.
 
-    check=False skips the precondition validation; it exists so that
-    counterexample_report exercises can run on deliberately bad inputs.
+    Yields (element, op, result, problems) for each element of
+    candidate_elements, delete before contract.  problems names what the
+    result lacks ("result disconnected", then "target not a minor of
+    result"); an empty list marks a splitter step.
     """
-    if check:
-        if not core.is_connected(M):
-            raise PreconditionViolation("M is not connected")
-        if not core.is_connected(N):
-            raise PreconditionViolation("N is not connected")
-        if not minor.is_proper_minor(M, N):
-            raise PreconditionViolation("N is not a proper minor of M")
     for v in candidate_elements(M, N):
         for op in (DELETE, CONTRACT):
             result = _apply(M, v, op)
-            if core.is_connected(result) and minor.has_minor(result, N) is not None:
-                return SplitterStep(v, op, result)
+            problems = []
+            if not core.is_connected(result):
+                problems.append("result disconnected")
+            if minor.has_minor(result, N) is None:
+                problems.append("target not a minor of result")
+            yield v, op, result, problems
+
+
+def _step(M: Clutter, N: Clutter) -> SplitterStep:
+    """The first splitter step from M towards N; preconditions are the caller's."""
+    for v, op, result, problems in _attempts(M, N):
+        if not problems:
+            return SplitterStep(v, op, result)
     raise TheoremCounterexample(
         "no single-element removal preserves connectivity and the minor", M, N
     )
 
 
-def chain(M: Clutter, N: Clutter, check: bool = True) -> SplitterChain:
+def _require_connected(M: Clutter, N: Clutter) -> None:
+    if not core.is_connected(M):
+        raise PreconditionViolation("M is not connected")
+    if not core.is_connected(N):
+        raise PreconditionViolation("N is not connected")
+
+
+def find_splitter(M: Clutter, N: Clutter) -> SplitterStep:
+    """One connectivity- and minor-preserving removal step from M towards N."""
+    _require_connected(M, N)
+    if not minor.is_proper_minor(M, N):
+        raise PreconditionViolation("N is not a proper minor of M")
+    return _step(M, N)
+
+
+def chain(M: Clutter, N: Clutter) -> SplitterChain:
     """A chain of splitter steps from M down to exactly N."""
-    if check:
-        if not core.is_connected(M):
-            raise PreconditionViolation("M is not connected")
-        if not core.is_connected(N):
-            raise PreconditionViolation("N is not connected")
-        if minor.has_minor(M, N) is None:
-            raise PreconditionViolation("N is not a minor of M")
+    _require_connected(M, N)
+    if minor.has_minor(M, N) is None:
+        raise PreconditionViolation("N is not a minor of M")
     steps = []
     current = M
     while current != N:
         # current != N and N a minor of current imply N is a proper minor
-        step = find_splitter(current, N, check=False)
+        step = _step(current, N)
         steps.append(step)
         current = step.result
     return SplitterChain(M, tuple(steps))
@@ -108,8 +125,6 @@ def chain_to_empty(M: Clutter) -> SplitterChain:
     """
     if not M.ground:
         raise PreconditionViolation("ground set is already empty")
-    if not core.is_connected(M):
-        raise PreconditionViolation("M is not connected")
     if M.rows == frozenset({frozenset()}):
         target = Clutter(frozenset(), frozenset({frozenset()}))
     else:
@@ -143,18 +158,12 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
     out += ["  " + ln for ln in canonical_serialize(N).splitlines()]
     out.append("")
     out.append("candidates:")
-    pool = sorted(M.ground - N.ground)
-    if not pool:
-        out.append("  (none)")
-    for v in pool:
-        for op in (DELETE, CONTRACT):
-            result = _apply(M, v, op)
-            problems = []
-            if not core.is_connected(result):
-                problems.append("result disconnected")
-            if minor.has_minor(result, N) is None:
-                problems.append("target not a minor of result")
-            out.append(f"  {op} {v}: " + ("; ".join(problems) or "works"))
+    # listed ascending, delete before contract, whatever order the search used
+    attempts = sorted(_attempts(M, N), key=lambda a: (a[0], a[1] != DELETE))
+    out += [
+        f"  {op} {v}: " + ("; ".join(problems) or "works")
+        for v, op, _, problems in attempts
+    ] or ["  (none)"]
     G = graphview.incidence_graph(M)
     out.append("")
     out.append("incidence graph analysis of M:")

@@ -119,6 +119,37 @@ class TestSplitter:
         assert "splitter search failed" in err
         assert "minimal black vertices" in err
 
+    def test_counterexample_stderr_is_pinned(self, write, capsys):
+        m_text = "elements a b c\nrow a b\nrow b c\n"
+        assert main(["splitter", write(m_text), write("elements c\nrow -\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no single-element removal preserves connectivity and the minor\n"
+            "splitter search failed: every candidate fails\n"
+            "\n"
+            "M:\n"
+            "  elements a b c\n"
+            "  row a b\n"
+            "  row b c\n"
+            "N:\n"
+            "  elements c\n"
+            "  row -\n"
+            "\n"
+            "candidates:\n"
+            "  delete a: target not a minor of result\n"
+            "  contract a: result disconnected\n"
+            "  delete b: result disconnected; target not a minor of result\n"
+            "  contract b: result disconnected\n"
+            "\n"
+            "incidence graph analysis of M:\n"
+            "  minimal black vertices: a c\n"
+            "  twins: none\n"
+            "  good components:\n"
+            "    u=a: {b c r:b,c} (minimal)\n"
+            "    u=c: {a b r:a,b} (minimal)\n"
+        )
+
     def test_precondition_violation_exits_two(self, write, capsys):
         n_text = "elements 1 2\nrow 1\nrow 2\n"
         assert main(["splitter", write(TRIANGLE_TEXT), write(n_text)]) == 2
@@ -194,6 +225,14 @@ class TestExitCodes:
 
     def test_invalid_clutter_is_domain_error(self, write, capsys):
         assert main(["show", write("elements 1 2\nrow 1\nrow 1 2\n")]) == 2
+
+    def test_identities_beyond_n4_is_domain_error(self, capsys):
+        # without --theorem the identity families run too, and they stop at n=4
+        assert main(["verify", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -9,6 +9,7 @@ from clutters.graphview import incidence_graph, minimal_black_vertices
 from clutters.minor import has_minor, is_proper_minor
 from clutters.splitter import (
     SplitterStep,
+    candidate_elements,
     chain,
     chain_to_empty,
     counterexample_report,
@@ -50,20 +51,22 @@ class TestFindSplitter:
 
     def test_disconnected_target_rejected(self):
         # {1},{2} admits the separation ({1},{2}), so it fails the preconditions
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^N is not connected$"):
             find_splitter(TRIANGLE, C("12", "1", "2"))
 
     def test_disconnected_source_rejected(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^M is not connected$"):
             find_splitter(C("12", "1", "2"), C(""))
 
     def test_equal_clutters_rejected(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^N is not a proper minor of M$"):
             find_splitter(TRIANGLE, TRIANGLE)
 
     def test_non_minor_rejected(self):
         with pytest.raises(PreconditionViolation):
             find_splitter(TRIANGLE, C("12", "1"))
+        with pytest.raises(PreconditionViolation, match="^N is not a proper minor of M$"):
+            find_splitter(TRIANGLE, C("4", "4"))
 
     def test_step_invariants(self):
         step = find_splitter(TRIANGLE, C(""))
@@ -132,8 +135,21 @@ class TestChain:
         assert sizes == [3, 2, 1, 0]
 
     def test_disconnected_input_rejected(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^M is not connected$"):
             chain(C("12", "1", "2"), C(""))
+        with pytest.raises(PreconditionViolation, match="^N is not connected$"):
+            chain(TRIANGLE, C("12", "1", "2"))
+
+    def test_non_minor_rejected(self):
+        with pytest.raises(PreconditionViolation, match="^N is not a minor of M$"):
+            chain(C("123", "12", "23"), TRIANGLE)
+
+    def test_counterexample_carries_the_failing_pair(self):
+        M = C("123", "12", "23")
+        N = new_clutter("3", [[]])
+        with pytest.raises(TheoremCounterexample) as info:
+            chain(M, N)
+        assert (info.value.M, info.value.N) == (M, N)
 
 
 class TestChainToEmpty:
@@ -154,11 +170,11 @@ class TestChainToEmpty:
         assert all(is_connected(s.result) for s in out.steps)
 
     def test_empty_ground_rejected(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^ground set is already empty$"):
             chain_to_empty(C(""))
 
     def test_disconnected_rejected(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match="^M is not connected$"):
             chain_to_empty(C("123", "12"))
 
     def test_all_connected_small_clutters(self):
@@ -192,11 +208,9 @@ class TestFormatting:
 
 class TestCounterexampleReport:
     def test_lists_all_candidates_for_forced_failure(self):
-        # disconnected M slips past find_splitter only with checks disabled
+        # the report renders any pair, even a disconnected M find_splitter rejects
         M = C("1234", "12", "34")
         N = C("12", "12")
-        with pytest.raises(TheoremCounterexample):
-            find_splitter(M, N, check=False)
         report = counterexample_report(M, N)
         for token in ["delete 3", "contract 3", "delete 4", "contract 4"]:
             assert token in report
@@ -215,3 +229,42 @@ class TestCounterexampleReport:
         report = counterexample_report(M, N)
         assert ": works" not in report
         assert report.count("disconnected") + report.count("not a minor") >= 4
+
+    def test_candidates_listed_in_ascending_order(self):
+        # the search tries c first (a minimal black vertex), the report lists
+        # elements ascending, delete before contract
+        M = C("abcde", "ce", "abd", "abe")
+        N = C("bd", "bd")
+        assert candidate_elements(M, N) == ["c", "a", "e"]
+        assert counterexample_report(M, N) == (
+            "splitter search failed: every candidate fails\n"
+            "\n"
+            "M:\n"
+            "  elements a b c d e\n"
+            "  row c e\n"
+            "  row a b d\n"
+            "  row a b e\n"
+            "N:\n"
+            "  elements b d\n"
+            "  row b d\n"
+            "\n"
+            "candidates:\n"
+            "  delete a: result disconnected; target not a minor of result\n"
+            "  contract a: works\n"
+            "  delete c: works\n"
+            "  contract c: result disconnected\n"
+            "  delete e: result disconnected\n"
+            "  contract e: result disconnected; target not a minor of result\n"
+            "\n"
+            "incidence graph analysis of M:\n"
+            "  minimal black vertices: c d\n"
+            "  twins of a: b\n"
+            "  twins of b: a\n"
+            "  good components:\n"
+            "    u=c: {a b d e r:a,b,d r:a,b,e} (minimal)\n"
+            "    u=d: {a b c e r:a,b,e r:c,e} (minimal)\n"
+        )
+
+    def test_no_candidates(self):
+        report = counterexample_report(TRIANGLE, TRIANGLE)
+        assert "candidates:\n  (none)\n\n" in report
