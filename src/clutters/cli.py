@@ -169,10 +169,7 @@ def main(argv: Optional[list] = None) -> int:
         return 64 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
     except TheoremCounterexample as exc:

@@ -73,6 +73,9 @@ def _check_label(label) -> str:
         # whitespace breaks the line format, ',' breaks row keys, '-' is the
         # empty-row marker; all three would destroy serialization round-trips
         raise BadLabel(f"label {label!r} contains a reserved character")
+    if label.startswith("r:"):
+        # incidence graphs name row vertices 'r:<members>'
+        raise BadLabel(f"label {label!r} uses the reserved row prefix 'r:'")
     return label
 
 

@@ -11,6 +11,7 @@ the tagged pair ('black', element) or ('white', row key).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import core
 from .core import Clutter
@@ -33,6 +34,20 @@ class IncidenceGraph:
     white: frozenset  # row keys
     edges: frozenset  # (element, row key) pairs
 
+    @cached_property
+    def _neighbours(self) -> dict:
+        """Each tagged vertex mapped to the frozenset of its tagged neighbours.
+
+        Derived once per graph; not a field, so equality, hashing and repr
+        see only the three fields above.
+        """
+        adj = {(BLACK, v): set() for v in self.black}
+        adj.update(((WHITE, w), set()) for w in self.white)
+        for v, w in self.edges:
+            adj[(BLACK, v)].add((WHITE, w))
+            adj[(WHITE, w)].add((BLACK, v))
+        return {x: frozenset(ns) for x, ns in adj.items()}
+
 
 @dataclass(frozen=True)
 class Neighbourhood:
@@ -46,20 +61,6 @@ def incidence_graph(M: Clutter) -> IncidenceGraph:
     white = frozenset(row_key(A) for A in M.rows)
     edges = frozenset((v, row_key(A)) for A in M.rows for v in A)
     return IncidenceGraph(M.ground, white, edges)
-
-
-def _black_adjacency(G: IncidenceGraph) -> dict:
-    adj = {v: set() for v in G.black}
-    for v, w in G.edges:
-        adj[v].add(w)
-    return {v: frozenset(ws) for v, ws in adj.items()}
-
-
-def _white_adjacency(G: IncidenceGraph) -> dict:
-    adj = {w: set() for w in G.white}
-    for v, w in G.edges:
-        adj[w].add(v)
-    return {w: frozenset(vs) for w, vs in adj.items()}
 
 
 def _require_black(G: IncidenceGraph, v: str) -> None:
@@ -82,43 +83,34 @@ def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
     if kind == BLACK:
         if name not in G.black:
             raise VertexNotFound(f"no black vertex {name!r}")
-        open_ = frozenset((WHITE, w) for v, w in G.edges if v == name)
     elif kind == WHITE:
         if name not in G.white:
             raise VertexNotFound(f"no white vertex {name!r}")
-        open_ = frozenset((BLACK, v) for v, w in G.edges if w == name)
     else:
         raise VertexNotFound(f"bad vertex tag {kind!r}")
+    open_ = G._neighbours[(kind, name)]
     return Neighbourhood(vertex, open_, open_ | {vertex})
 
 
 def components(G: IncidenceGraph) -> list:
     """Connected components as frozensets of tagged vertices, deterministically
     ordered by each part's least vertex."""
-    adjacency = {}
-    for v in G.black:
-        adjacency[(BLACK, v)] = []
-    for w in G.white:
-        adjacency[(WHITE, w)] = []
-    for v, w in sorted(G.edges):
-        adjacency[(BLACK, v)].append((WHITE, w))
-        adjacency[(WHITE, w)].append((BLACK, v))
+    adjacency = G._neighbours
     seen = set()
     parts = []
+    # each start is the least vertex not yet seen, so parts come out in order
     for start in sorted(adjacency, key=vertex_sort_key):
         if start in seen:
             continue
         part = {start}
         stack = [start]
         while stack:
-            here = stack.pop()
-            for there in adjacency[here]:
+            for there in adjacency[stack.pop()]:
                 if there not in part:
                     part.add(there)
                     stack.append(there)
         seen |= part
         parts.append(frozenset(part))
-    parts.sort(key=lambda p: vertex_sort_key(min(p, key=vertex_sort_key)))
     return parts
 
 
@@ -149,11 +141,11 @@ def delete_closed_neighbourhood(G: IncidenceGraph, v: str) -> IncidenceGraph:
     M with v deleted.
     """
     _require_black(G, v)
-    gone_whites = {w for u, w in G.edges if u == v}
+    gone_whites = {w for _, w in G._neighbours[(BLACK, v)]}
     return IncidenceGraph(
         G.black - {v},
         G.white - gone_whites,
-        frozenset((u, w) for u, w in G.edges if u != v and w not in gone_whites),
+        frozenset((u, w) for u, w in G.edges if w not in gone_whites),
     )
 
 
@@ -164,8 +156,9 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
     happen when v has a twin.
     """
     _require_black(G, v)
-    white_adj = _white_adjacency(G)
-    mapping = {w: row_key(vs - {v}) for w, vs in white_adj.items()}
+    mapping = {
+        w: row_key({u for _, u in G._neighbours[(WHITE, w)] if u != v}) for w in G.white
+    }
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("removing this black vertex merges white vertices")
     return IncidenceGraph(
@@ -178,8 +171,10 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
 def twins(G: IncidenceGraph, v: str) -> frozenset:
     """All black vertices other than v with the same open neighbourhood."""
     _require_black(G, v)
-    adj = _black_adjacency(G)
-    return frozenset(u for u in G.black if u != v and adj[u] == adj[v])
+    mine = G._neighbours[(BLACK, v)]
+    return frozenset(
+        u for u in G.black if u != v and G._neighbours[(BLACK, u)] == mine
+    )
 
 
 def contract_twin(M: Clutter, v: str) -> Clutter:
@@ -201,10 +196,8 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
 
 def minimal_black_vertices(G: IncidenceGraph) -> frozenset:
     """Black vertices whose open neighbourhood properly contains no other's."""
-    adj = _black_adjacency(G)
-    return frozenset(
-        v for v in G.black if not any(adj[u] < adj[v] for u in G.black if u != v)
-    )
+    adj = {v: G._neighbours[(BLACK, v)] for v in G.black}
+    return frozenset(v for v in G.black if not any(ws < adj[v] for ws in adj.values()))
 
 
 def good_components(G: IncidenceGraph, u: str) -> list:

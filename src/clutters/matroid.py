@@ -1,10 +1,10 @@
 """Circuit-presented matroids as clutter sources.
 
 Matroids here exist only to feed fixtures into the clutter machinery: a
-matroid is its ground set plus its family of circuits, bases and duals are
-derived by brute force over subsets, and the circuit axioms are checked
-exhaustively at construction.  Intended for grounds of a dozen elements or
-fewer.
+matroid is its ground set plus its family of circuits, bases are derived by
+brute force over subsets, duals as the blocker of the bases, and the circuit
+axioms are checked exhaustively at construction.  Intended for grounds of a
+dozen elements or fewer.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import core
+from .blocker import blocker
 from .core import Clutter, new_clutter, row_sort_key
 from .errors import BadRank, CircuitAxiomViolation, GroundOverlap, ParseError
 
@@ -65,19 +66,10 @@ def bases(N: CircuitMatroid) -> frozenset:
 
 
 def dual(N: CircuitMatroid) -> CircuitMatroid:
-    """The dual matroid: circuits are the minimal nonempty sets meeting every
-    basis of N.  Result is re-validated against the circuit axioms."""
-    basis_family = bases(N)
-    elems = sorted(N.ground)
-    kept = []
-    for r in range(1, len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            S = frozenset(combo)
-            if any(t <= S for t in kept):
-                continue
-            if all(S & B for B in basis_family):
-                kept.append(S)
-    return new_matroid(N.ground, kept)
+    """The dual matroid: its circuits are the blocker of the bases of N, the
+    minimal sets meeting every basis.  Result is re-validated against the
+    circuit axioms."""
+    return new_matroid(N.ground, blocker(Clutter(N.ground, bases(N))).rows)
 
 
 def direct_sum(N1: CircuitMatroid, N2: CircuitMatroid) -> CircuitMatroid:

@@ -226,6 +226,13 @@ class TestExitCodes:
     def test_invalid_clutter_is_domain_error(self, write, capsys):
         assert main(["show", write("elements 1 2\nrow 1\nrow 1 2\n")]) == 2
 
+    def test_row_prefix_label_is_domain_error(self, write, capsys):
+        assert main(["show", write("elements r:x x\nrow x\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_identities_beyond_n4_is_domain_error(self, capsys):
         # without --theorem the identity families run too, and they stop at n=4
         assert main(["verify", "--n", "5"]) == 2

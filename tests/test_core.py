@@ -61,10 +61,17 @@ class TestNewClutter:
         with pytest.raises(DuplicateLabel):
             new_clutter(["a", "b", "a"], [])
 
-    @pytest.mark.parametrize("label", ["-", "a b", "a,b", "", "a\tb", 7])
+    # 'r:x' would share its name with the incidence-graph vertex of row {x}
+    @pytest.mark.parametrize(
+        "label", ["-", "a b", "a,b", "", "a\tb", 7, "r:", "r:x"]
+    )
     def test_bad_label(self, label):
         with pytest.raises(BadLabel):
             new_clutter([label], [])
+
+    @pytest.mark.parametrize("label", ["r", "xr:", "R:x", "r-x"])
+    def test_near_reserved_labels_accepted(self, label):
+        assert new_clutter([label], [[label]]).ground == F({label})
 
     def test_duplicate_rows_collapse(self):
         M = new_clutter("12", [["1", "2"], ["2", "1"]])

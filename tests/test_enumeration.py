@@ -95,6 +95,10 @@ THEOREM_REPORT_SHA256 = {
     5: "e089372013b223ba1ef1a78d30201067e4f87b9e0262aea30917c1a2bfedf8a9",
 }
 
+# sha256 of verify_identities(4).render() as produced when every incidence-graph
+# function still scanned the edge set on its own
+IDENTITIES_REPORT_SHA256 = "3ef7fdd35a2a086c4318e7491f5b015f541caf99a5223c4e1cb36942f350407d"
+
 
 @functools.lru_cache(maxsize=None)
 def theorem_report(n):
@@ -201,6 +205,10 @@ class TestVerifyIdentities:
 
     def test_reproducible(self):
         assert verify_identities(3).render() == verify_identities(3).render()
+
+    def test_report_bytes_pinned(self):
+        text = verify_identities(4).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == IDENTITIES_REPORT_SHA256
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -22,6 +22,7 @@ from clutters.graphview import (
     remove_black_vertex,
     to_dot,
     twins,
+    vertex_sort_key,
 )
 
 F = frozenset
@@ -84,6 +85,61 @@ class TestComponents:
             F({(BLACK, "2")}),
             F({(BLACK, "3")}),
         ]
+
+
+def scan_open(G, vertex):
+    """Open neighbourhood of a tagged vertex by a scan of the edge set."""
+    kind, name = vertex
+    if kind == BLACK:
+        return F((WHITE, w) for v, w in G.edges if v == name)
+    return F((BLACK, v) for v, w in G.edges if w == name)
+
+
+def scan_components(G):
+    """Components by merging the parts of each edge's two ends, ordered by
+    each part's least vertex."""
+    parts = [F({(BLACK, v)}) for v in G.black] + [F({(WHITE, w)}) for w in G.white]
+    for v, w in G.edges:
+        ends = [p for p in parts if (BLACK, v) in p or (WHITE, w) in p]
+        parts = [p for p in parts if p not in ends] + [F().union(*ends)]
+    return sorted(parts, key=lambda p: vertex_sort_key(min(p, key=vertex_sort_key)))
+
+
+class TestNeighbourMap:
+    def test_invisible_to_equality_hash_and_repr(self):
+        used = incidence_graph(PATH)
+        twins(used, "1")
+        assert "_neighbours" in vars(used)
+        fresh = incidence_graph(PATH)
+        assert "_neighbours" not in vars(fresh)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert len({used, fresh}) == 1
+
+    def test_agrees_with_edge_scans_everywhere(self):
+        for n in range(5):
+            for M in enumerate_clutters(n):
+                G = incidence_graph(M)
+                vertices = [(BLACK, v) for v in G.black] + [(WHITE, w) for w in G.white]
+                for x in vertices:
+                    nb = neighbourhood(G, x)
+                    assert nb.open == scan_open(G, x)
+                    assert nb.closed == scan_open(G, x) | {x}
+                for v in G.black:
+                    mine = scan_open(G, (BLACK, v))
+                    assert twins(G, v) == F(
+                        u for u in G.black if u != v and scan_open(G, (BLACK, u)) == mine
+                    )
+                assert minimal_black_vertices(G) == F(
+                    v
+                    for v in G.black
+                    if not any(
+                        scan_open(G, (BLACK, u)) < scan_open(G, (BLACK, v))
+                        for u in G.black
+                    )
+                )
+                assert components(G) == scan_components(G)
 
 
 class TestConnectivityEquivalence:

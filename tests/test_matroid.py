@@ -1,5 +1,7 @@
 """Circuit matroids, duals, and their clutter specializations."""
 
+import itertools
+
 import pytest
 
 from helpers import naive_separation
@@ -106,6 +108,21 @@ class TestDual:
 
     def test_free_dualizes_to_loops(self):
         assert dual(uniform(3, 3)) == uniform(0, 3)
+
+    def test_matches_subset_scan(self):
+        # oracle: minimal nonempty sets meeting every basis, by ascending scan
+        def scan_dual_circuits(N):
+            kept = []
+            for r in range(1, len(N.ground) + 1):
+                for combo in itertools.combinations(sorted(N.ground), r):
+                    S = F(combo)
+                    if not any(t <= S for t in kept) and all(S & B for B in bases(N)):
+                        kept.append(S)
+            return F(kept)
+
+        fixtures = [uniform(r, n) for n in range(6) for r in range(n + 1)]
+        for N in fixtures + [k4_graphic_matroid()]:
+            assert dual(N).circuits == scan_dual_circuits(N)
 
 
 class TestDirectSum:
