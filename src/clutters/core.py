@@ -22,9 +22,6 @@ from .errors import (
     ParseError,
 )
 
-Row = frozenset  # rows are frozensets of element labels
-
-
 def row_sort_key(row: frozenset) -> tuple:
     """Canonical row order: by cardinality, then by ascending member labels."""
     return (len(row), tuple(sorted(row)))
@@ -187,7 +184,13 @@ def find_separation(M: Clutter) -> Optional[Separation]:
 
 def is_connected(M: Clutter) -> bool:
     """True iff the clutter admits no separation: the hypergraph of its rows
-    has at most one component."""
+    has at most one component.
+
+    An empty row joins no elements, so ({x}; {∅}) counts as connected, as
+    does any clutter on at most one element.  It is the only clutter whose
+    incidence graph disagrees: there the empty row is an isolated white
+    vertex beside the black vertex x.
+    """
     return len(set(_parts(M).values())) <= 1
 
 

@@ -45,7 +45,8 @@ def enumerate_clutters(n: int) -> Iterator[Clutter]:
         yield Clutter(ground, frozenset(chosen))
         for i in range(start, len(subsets)):
             s = subsets[i]
-            if all(not (s <= t or t <= s) for t in chosen):
+            # subsets come in row_sort_key order, so s never lies inside an earlier t
+            if not any(t <= s for t in chosen):
                 yield from grow(i + 1, chosen + [s])
 
     yield from grow(0, [])

@@ -48,13 +48,11 @@ def candidate_elements(M: Clutter, N: Clutter) -> list:
     they affect only which witness is found, never whether one exists.
     """
     G = graphview.incidence_graph(M)
-    pool = sorted(M.ground - N.ground)
     minimal = graphview.minimal_black_vertices(G)
-    twinned = {v for v in pool if graphview.twins(G, v)}
-    first = [v for v in pool if v in minimal]
-    second = [v for v in pool if v not in minimal and v in twinned]
-    third = [v for v in pool if v not in minimal and v not in twinned]
-    return first + second + third
+    return sorted(
+        sorted(M.ground - N.ground),
+        key=lambda v: 0 if v in minimal else 1 if graphview.twins(G, v) else 2,
+    )
 
 
 def _attempts(M: Clutter, N: Clutter):
@@ -119,17 +117,14 @@ def chain(M: Clutter, N: Clutter) -> SplitterChain:
 def chain_to_empty(M: Clutter) -> SplitterChain:
     """Reduce a connected clutter on a nonempty ground set to an empty-ground one.
 
-    The target is the empty clutter, except when the sole row of M is empty:
-    no minor of such a clutter ever loses that row, so the chain ends at the
-    empty-ground clutter with one empty row instead.
+    The target keeps M's empty row if it has one, since the empty row
+    survives every minor.  On a nonempty ground the only connected clutter
+    with an empty row is ({x}; {∅}) (see core.is_connected), so its chain
+    ends at (∅; {∅}).
     """
     if not M.ground:
         raise PreconditionViolation("ground set is already empty")
-    if M.rows == frozenset({frozenset()}):
-        target = Clutter(frozenset(), frozenset({frozenset()}))
-    else:
-        target = Clutter(frozenset(), frozenset())
-    return chain(M, target)
+    return chain(M, Clutter(frozenset(), M.rows & {frozenset()}))
 
 
 def format_step(step: SplitterStep) -> str:
@@ -175,19 +170,15 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
         if mates:
             twin_lines.append(f"  twins of {v}: " + " ".join(mates))
     out += twin_lines or ["  twins: none"]
-    flagged = {
-        (u, comp) for u, comp in graphview.minimal_good_components(G)
-    }
+    flagged = set(graphview.minimal_good_components(G))
     out.append("  good components:")
-    any_comp = False
+    comp_lines = []
     for u in minimal:
         for comp in graphview.good_components(G, u):
-            any_comp = True
             names = " ".join(
                 name for _, name in sorted(comp, key=graphview.vertex_sort_key)
             )
             mark = " (minimal)" if (u, comp) in flagged else ""
-            out.append(f"    u={u}: {{{names}}}{mark}")
-    if not any_comp:
-        out.append("    (none)")
+            comp_lines.append(f"    u={u}: {{{names}}}{mark}")
+    out += comp_lines or ["    (none)"]
     return "\n".join(out) + "\n"

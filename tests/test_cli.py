@@ -241,5 +241,13 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("n", ["6", "-1"])
+    def test_theorem_outside_range_is_domain_error(self, n, capsys):
+        assert main(["verify", "--n", n, "--theorem"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

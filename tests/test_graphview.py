@@ -251,7 +251,8 @@ class TestContractTwin:
                 G = incidence_graph(M)
                 for v in sorted(M.ground):
                     if twins(G, v):
-                        out = contract(M, v)
+                        out = contract_twin(M, v)
+                        assert out == contract(M, v)
                         assert incidence_graph(out) == remove_black_vertex(G, v)
                         assert is_connected(out)
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import naive_separation
 from clutters import matroid
 from clutters.blocker import blocker
-from clutters.core import contract, delete, is_connected, new_clutter
+from clutters.core import Clutter, contract, delete, is_connected, new_clutter
 from clutters.errors import (
     BadRank,
     CircuitAxiomViolation,
@@ -216,6 +216,37 @@ class TestMinorCompatibility:
     def test_loop_contraction_diverges(self):
         M = circuits_clutter(uniform(0, 2))
         assert contract(M, "1") == new_clutter("2", [[]])
+
+    def test_clutter_minors_are_matroid_minors_except_loop_contraction(self):
+        # matroid minors from their definitions: N\e keeps the circuits
+        # avoiding e; N/e has the minimal sets C - e, except that contracting
+        # a loop deletes it
+        def matroid_delete(N, e):
+            return F(C for C in N.circuits if e not in C)
+
+        def matroid_contract(N, e):
+            if F({e}) in N.circuits:
+                return matroid_delete(N, e)
+            shrunk = {C - {e} for C in N.circuits}
+            return F(S for S in shrunk if not any(T < S for T in shrunk))
+
+        matroids = [uniform(r, n) for n in range(6) for r in range(n + 1)]
+        matroids += [
+            k4_graphic_matroid(),
+            direct_sum(uniform(1, 2), uniform(0, 1, labels=["3"])),
+        ]
+        elements = loops = 0
+        for N in matroids:
+            M = circuits_clutter(N)
+            for e in sorted(N.ground):
+                elements += 1
+                is_loop = F({e}) in N.circuits
+                loops += is_loop
+                rest = N.ground - {e}
+                assert delete(M, e) == Clutter(rest, matroid_delete(N, e))
+                agrees = contract(M, e) == Clutter(rest, matroid_contract(N, e))
+                assert agrees == (not is_loop)
+        assert (len(matroids), elements, loops) == (23, 79, 16)
 
 
 class TestFileFormat:

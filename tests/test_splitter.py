@@ -1,12 +1,24 @@
 """Splitter steps, chains, and counterexample forensics."""
 
+import hashlib
+
 import pytest
 
-from clutters.core import contract, delete, is_connected, new_clutter
-from clutters.enumeration import enumerate_clutters
-from clutters.errors import PreconditionViolation, TheoremCounterexample
+from clutters.core import (
+    canonical_serialize,
+    contract,
+    delete,
+    is_connected,
+    new_clutter,
+)
+from clutters.enumeration import (
+    connected_proper_minors,
+    enumerate_clutters,
+    enumerate_connected,
+)
+from clutters.errors import ClutterError, PreconditionViolation, TheoremCounterexample
 from clutters.graphview import incidence_graph, minimal_black_vertices
-from clutters.minor import has_minor, is_proper_minor
+from clutters.minor import all_minors, has_minor, is_proper_minor
 from clutters.splitter import (
     SplitterStep,
     candidate_elements,
@@ -268,3 +280,56 @@ class TestCounterexampleReport:
     def test_no_candidates(self):
         report = counterexample_report(TRIANGLE, TRIANGLE)
         assert "candidates:\n  (none)\n\n" in report
+
+
+# sha256 values taken from the implementation that ranked candidates with
+# three filtered lists and flagged good components through an any_comp loop
+REPORT_SHA256 = "36fccd95d3503748fb2b0cf19704abd6b755773940a498acdd0b26542a159eb3"
+SEARCH_SHA256 = "55548ca48a74b5a59a2e2af5c3ab754e3550435791e1ba3e357a1dd064ed0930"
+
+
+def outcome(call, render):
+    """render(call()), or the domain error it raises as 'type: message'."""
+    try:
+        return render(call())
+    except ClutterError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPinnedOutputs:
+    def test_report_text_pinned(self):
+        digest = hashlib.sha256()
+        pairs = 0
+        for n in range(5):
+            for M in enumerate_connected(n):
+                for N in connected_proper_minors(M):
+                    pairs += 1
+                    digest.update(counterexample_report(M, N).encode())
+        assert pairs == 1877
+        assert digest.hexdigest() == REPORT_SHA256
+
+    def test_search_text_pinned(self):
+        # candidate order, find_splitter and chain for every distinct minor N
+        # of every clutter M, then chain_to_empty on M
+        digest = hashlib.sha256()
+        pairs = 0
+        for n in range(5):
+            for M in enumerate_clutters(n):
+                for N in dict.fromkeys(N for _, N in all_minors(M)):
+                    pairs += 1
+                    text = (
+                        canonical_serialize(M)
+                        + canonical_serialize(N)
+                        + " ".join(candidate_elements(M, N))
+                        + "\n"
+                        + outcome(lambda: find_splitter(M, N), format_step)
+                        + "\n"
+                        + outcome(lambda: chain(M, N), format_chain)
+                        + "\n"
+                    )
+                    digest.update(text.encode())
+                if M.ground:
+                    text = outcome(lambda: chain_to_empty(M), format_chain) + "\n"
+                    digest.update(text.encode())
+        assert pairs == 6643
+        assert digest.hexdigest() == SEARCH_SHA256
