@@ -94,14 +94,16 @@ class VerificationReport:
         return sum(len(r.counterexamples) for r in self.results)
 
 
-def _minors(C: Clutter, rest: tuple, memo: dict) -> tuple:
-    """The distinct minors of C reached by keeping, deleting or contracting
-    each element of the ascending tuple rest.
+def _connected_minors(C: Clutter, rest: tuple, memo: dict) -> tuple:
+    """The distinct connected minors of C reached by keeping, deleting or
+    contracting each element of the ascending tuple rest.
 
     They come in first-witness order of the base-3 counter over rest with
-    keep < delete < contract, the order of minor.all_minors.  Deletion and
-    contraction commute, so a sub-walk's result depends only on its clutter
-    and the elements still to decide; memo holds each one computed so far.
+    keep < delete < contract, the order of minor.all_minors, with the
+    disconnected minors dropped.  Deletion and contraction commute, so a
+    sub-walk's result depends only on its clutter and the elements still to
+    decide; memo holds each one computed so far, the leaves (C, ()) included,
+    so each clutter's connectivity is decided once per memo.
     """
     found = memo.get((C, rest))
     if found is None:
@@ -109,21 +111,25 @@ def _minors(C: Clutter, rest: tuple, memo: dict) -> tuple:
             v, tail = rest[0], rest[1:]
             found = tuple(
                 dict.fromkeys(
-                    _minors(C, tail, memo)
-                    + _minors(core.delete(C, v), tail, memo)
-                    + _minors(core.contract(C, v), tail, memo)
+                    _connected_minors(C, tail, memo)
+                    + _connected_minors(core.delete(C, v), tail, memo)
+                    + _connected_minors(core.contract(C, v), tail, memo)
                 )
             )
         else:
-            found = (C,)
+            found = (C,) if core.is_connected(C) else ()
         memo[(C, rest)] = found
     return found
 
 
+def _walk(C: Clutter, memo: dict) -> tuple:
+    """Every distinct connected minor of C, C itself included if connected."""
+    return _connected_minors(C, tuple(sorted(C.ground)), memo)
+
+
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    walk = _minors(M, tuple(sorted(M.ground)), {})
-    return [N for N in walk if N.ground != M.ground and core.is_connected(N)]
+    return [N for N in _walk(M, {}) if N.ground != M.ground]
 
 
 def verify_theorem(n: int) -> VerificationReport:
@@ -131,19 +137,24 @@ def verify_theorem(n: int) -> VerificationReport:
     labeled elements against each of its connected proper minors N.
 
     A pair passes iff N is a minor of some single removal M\\v or M/v that
-    stays connected; those removals' minor sets come from one memo shared by
-    the whole run.
+    stays connected.  M and those removals are walked through one memo that
+    lives for the call, so every sub-walk and every clutter's connectivity
+    is computed once per run.
     """
     memo = {}
     tested = passed = 0
     failures = []
-    for M in enumerate_connected(n):
+    for M in enumerate_clutters(n):
+        if not _connected_minors(M, (), memo):  # the memoised is_connected(M)
+            continue
         reach = set()
         for v in sorted(M.ground):
             for R in (core.delete(M, v), core.contract(M, v)):
-                if core.is_connected(R):
-                    reach.update(_minors(R, tuple(sorted(R.ground)), memo))
-        for N in connected_proper_minors(M):
+                if _connected_minors(R, (), memo):
+                    reach.update(_walk(R, memo))
+        for N in _walk(M, memo):
+            if N.ground == M.ground:
+                continue
             tested += 1
             if N in reach:
                 passed += 1

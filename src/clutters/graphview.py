@@ -205,15 +205,22 @@ def good_components(G: IncidenceGraph, u: str) -> list:
     return components(delete_closed_neighbourhood(G, u))
 
 
-def minimal_good_components(G: IncidenceGraph) -> list:
-    """All (u, component) pairs whose component properly contains no other
-    good component's vertex set."""
+def _flagged_good_components(G: IncidenceGraph) -> list:
+    """(u, component, is_minimal) for every good component, u ascending: a
+    component is minimal iff it properly contains no other good component's
+    vertex set."""
     pairs = [
         (u, comp)
         for u in sorted(minimal_black_vertices(G))
-        for comp in good_components(G, u)
+        for comp in components(delete_closed_neighbourhood(G, u))
     ]
-    return [(u, comp) for u, comp in pairs if not any(d < comp for _, d in pairs)]
+    return [(u, comp, not any(d < comp for _, d in pairs)) for u, comp in pairs]
+
+
+def minimal_good_components(G: IncidenceGraph) -> list:
+    """All (u, component) pairs whose component properly contains no other
+    good component's vertex set."""
+    return [(u, comp) for u, comp, minimal in _flagged_good_components(G) if minimal]
 
 
 def _quote(name: str) -> str:

@@ -170,15 +170,13 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
         if mates:
             twin_lines.append(f"  twins of {v}: " + " ".join(mates))
     out += twin_lines or ["  twins: none"]
-    flagged = set(graphview.minimal_good_components(G))
     out.append("  good components:")
     comp_lines = []
-    for u in minimal:
-        for comp in graphview.good_components(G, u):
-            names = " ".join(
-                name for _, name in sorted(comp, key=graphview.vertex_sort_key)
-            )
-            mark = " (minimal)" if (u, comp) in flagged else ""
-            comp_lines.append(f"    u={u}: {{{names}}}{mark}")
+    for u, comp, is_minimal in graphview._flagged_good_components(G):
+        names = " ".join(
+            name for _, name in sorted(comp, key=graphview.vertex_sort_key)
+        )
+        mark = " (minimal)" if is_minimal else ""
+        comp_lines.append(f"    u={u}: {{{names}}}{mark}")
     out += comp_lines or ["    (none)"]
     return "\n".join(out) + "\n"

@@ -1,5 +1,6 @@
 """Command-line interface: output bytes and exit codes."""
 
+import hashlib
 import signal
 
 import pytest
@@ -200,6 +201,23 @@ class TestVerify:
         assert main(["verify", "--n", "3", "--theorem"]) == 0
         out = capsys.readouterr().out
         assert "theorem n=3: tested=61 passed=52 counterexamples=9" in out
+
+    def test_theorem_n5_output_is_pinned_and_prompt(self, capsys):
+        def too_slow(signum, frame):
+            raise AssertionError("'verify --n 5 --theorem' took more than 60 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            assert main(["verify", "--n", "5", "--theorem"]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        out = capsys.readouterr().out
+        # the value pinned as THEOREM_REPORT_SHA256[5] in test_enumeration
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e089372013b223ba1ef1a78d30201067e4f87b9e0262aea30917c1a2bfedf8a9"
+        )
 
 
 class TestExitCodes:

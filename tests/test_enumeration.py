@@ -4,10 +4,13 @@ import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_clutters
 from clutters.core import canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
+    _connected_minors,
     connected_proper_minors,
     enumerate_clutters,
     enumerate_connected,
@@ -119,6 +122,15 @@ def independent_pairs(n):
                 yield M, N
 
 
+def first_witness_order(M):
+    """M's distinct connected proper minors in all_minors order."""
+    order = {}
+    for _, N in all_minors(M):
+        if N.ground != M.ground and is_connected(N):
+            order.setdefault(N, len(order))
+    return list(order)
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize("n,facts", sorted(THEOREM_FACTS.items()))
     def test_pair_and_counterexample_counts(self, n, facts):
@@ -168,12 +180,29 @@ class TestVerifyTheorem:
         assert line == "theorem n=2: tested=6 passed=6 counterexamples=0"
 
     def test_connected_proper_minors_first_witness_order(self):
-        for M in enumerate_connected(3):
-            order = {}
-            for _, N in all_minors(M):
-                if N.ground != M.ground and is_connected(N):
-                    order.setdefault(N, len(order))
-            assert connected_proper_minors(M) == list(order)
+        for n in range(5):
+            for M in enumerate_connected(n):
+                assert connected_proper_minors(M) == first_witness_order(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_connected_proper_minors_first_witness_order_sampled(self, data):
+        numbers = st.lists(st.integers(1, 12), unique=True, max_size=7)
+        labels = [str(i) for i in data.draw(numbers, label="labels")]  # "10" < "2"
+        row = st.frozensets(st.sampled_from(labels), max_size=4) if labels else st.just(F())
+        drawn = set(data.draw(st.lists(row, max_size=8), label="rows"))
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        assert connected_proper_minors(M) == first_witness_order(M)
+
+    def test_shared_memo_does_not_leak_between_clutters(self):
+        # one memo across every connected M at n<=4, walked forwards and then
+        # again backwards once it holds every other clutter's sub-walks
+        memo = {}
+        clutters = [M for n in range(5) for M in enumerate_connected(n)]
+        for M in clutters + clutters[::-1]:
+            walk = _connected_minors(M, tuple(sorted(M.ground)), memo)
+            assert walk[0] == M
+            assert [N for N in walk if N.ground != M.ground] == connected_proper_minors(M)
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])
