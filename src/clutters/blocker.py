@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .core import Clutter, minimal_sets, row_sort_key
+from .core import Clutter, row_sort_key
 from .errors import ForeignElement, TooLarge
 
 
@@ -28,19 +28,25 @@ def is_transversal(M: Clutter, S: Iterable[str]) -> bool:
 def blocker(M: Clutter) -> Clutter:
     """The blocker of M, computed by incremental row-by-row dualization.
 
-    Maintains the minimal transversals of the rows processed so far: each new
-    row keeps the partial transversals already meeting it and extends the rest
-    by one member of the row, re-minimalizing after every step.
+    Maintains the minimal transversals of the rows processed so far.  A new
+    row A keeps the partial transversals already meeting it and extends each
+    other one, t, to t | {a} for every a in A.  Nothing kept is dominated, and
+    no two new candidates dominate each other; t | {a} is dominated exactly
+    when it contains a kept set that holds a.  So the kept sets are indexed
+    by their members of A, and each candidate is tested only against the
+    index entry for its a.
     """
     partial = {frozenset()}
     for A in sorted(M.rows, key=row_sort_key):
-        extended = set()
-        for t in partial:
-            if t & A:
-                extended.add(t)
-            else:
-                extended.update(t | {a} for a in A)
-        partial = minimal_sets(extended)
+        meeting = {t for t in partial if t & A}
+        holders = {a: [k for k in meeting if a in k] for a in A}
+        grown = set(meeting)
+        for t in partial - meeting:
+            for a in A:
+                c = t | {a}
+                if not any(k <= c for k in holders[a]):
+                    grown.add(c)
+        partial = grown
     return Clutter(M.ground, frozenset(partial))
 
 

@@ -109,21 +109,21 @@ def delete(M: Clutter, v: str) -> Clutter:
     return Clutter(M.ground - {v}, frozenset(A for A in M.rows if v not in A))
 
 
-def minimal_sets(sets: Iterable[frozenset]) -> frozenset:
-    """The inclusion-minimal members of a family of sets."""
-    kept = []
-    # by cardinality: every proper subset comes before its supersets
-    for s in sorted(set(sets), key=len):
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return frozenset(kept)
-
-
 def contract(M: Clutter, v: str) -> Clutter:
-    """Strip v from every row and keep the inclusion-minimal results."""
+    """Strip v from every row and keep the inclusion-minimal results.
+
+    The stripped rows (those that held v) form an antichain, and so do the
+    untouched ones.  A stripped row A - {v} never contains an untouched row,
+    which would then lie inside the row A.  So the only rows to drop are the
+    untouched ones that contain a stripped row.
+    """
     if v not in M.ground:
         raise ElementNotFound(f"no element {v!r}")
-    return Clutter(M.ground - {v}, minimal_sets(A - {v} for A in M.rows))
+    stripped = frozenset(A - {v} for A in M.rows if v in A)
+    kept = frozenset(
+        A for A in M.rows if v not in A and not any(S <= A for S in stripped)
+    )
+    return Clutter(M.ground - {v}, stripped | kept)
 
 
 def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:

@@ -2,9 +2,10 @@
 
 Matroids here exist only to feed fixtures into the clutter machinery: a
 matroid is its ground set plus its family of circuits, bases are derived by
-brute force over subsets, duals as the blocker of the bases, and the circuit
-axioms are checked exhaustively at construction.  Intended for grounds of a
-dozen elements or fewer.
+brute force over subsets, duals as the blocker of the bases.  The circuit
+axioms are checked exhaustively whenever circuits come from a caller or a
+file; `uniform` and `direct_sum` build valid families and skip that scan.
+Intended for grounds of a dozen elements or fewer.
 """
 
 from __future__ import annotations
@@ -25,22 +26,28 @@ class CircuitMatroid:
     circuits: frozenset
 
 
+def _valid_family(ground: Iterable[str], circuits: Iterable[Iterable[str]]) -> CircuitMatroid:
+    """Validate labels and the antichain property only; for circuit families
+    that satisfy the circuit axioms by construction."""
+    as_clutter = new_clutter(ground, circuits)
+    return CircuitMatroid(as_clutter.ground, as_clutter.rows)
+
+
 def new_matroid(ground: Iterable[str], circuits: Iterable[Iterable[str]]) -> CircuitMatroid:
     """Validate labels, the antichain property, and circuit elimination."""
-    as_clutter = new_clutter(ground, circuits)
-    circuit_sets = as_clutter.rows
-    if frozenset() in circuit_sets:
+    N = _valid_family(ground, circuits)
+    if frozenset() in N.circuits:
         raise CircuitAxiomViolation("the empty set cannot be a circuit")
-    ordered = sorted(circuit_sets, key=row_sort_key)
+    ordered = sorted(N.circuits, key=row_sort_key)
     for C1, C2 in itertools.combinations(ordered, 2):
         for e in C1 & C2:
             union_minus = (C1 | C2) - {e}
-            if not any(C3 <= union_minus for C3 in circuit_sets):
+            if not any(C3 <= union_minus for C3 in N.circuits):
                 raise CircuitAxiomViolation(
                     f"no circuit inside ({{{' '.join(sorted(C1))}}} | "
                     f"{{{' '.join(sorted(C2))}}}) - {e}"
                 )
-    return CircuitMatroid(as_clutter.ground, circuit_sets)
+    return N
 
 
 def circuits_clutter(N: CircuitMatroid) -> Clutter:
@@ -73,16 +80,18 @@ def dual(N: CircuitMatroid) -> CircuitMatroid:
 
 
 def direct_sum(N1: CircuitMatroid, N2: CircuitMatroid) -> CircuitMatroid:
-    """Disjoint union of grounds and circuits."""
+    """Disjoint union of grounds and circuits.  Each circuit meets one
+    ground only, so elimination holds because it holds in each summand."""
     overlap = N1.ground & N2.ground
     if overlap:
         raise GroundOverlap(f"shared elements: {' '.join(sorted(overlap))}")
-    return new_matroid(N1.ground | N2.ground, N1.circuits | N2.circuits)
+    return _valid_family(N1.ground | N2.ground, N1.circuits | N2.circuits)
 
 
 def uniform(r: int, n: int, labels: Optional[Iterable[str]] = None) -> CircuitMatroid:
     """The uniform matroid of rank r on n elements: circuits are all
-    (r+1)-subsets.  Default labels are '1'..'n'."""
+    (r+1)-subsets, which satisfy circuit elimination by construction.
+    Default labels are '1'..'n'."""
     if not 0 <= r <= n:
         raise BadRank(f"rank {r} not in 0..{n}")
     if labels is None:
@@ -91,7 +100,7 @@ def uniform(r: int, n: int, labels: Optional[Iterable[str]] = None) -> CircuitMa
     if len(labels) != n:
         raise BadRank(f"expected {n} labels, got {len(labels)}")
     circuits = [set(combo) for combo in itertools.combinations(sorted(labels), r + 1)]
-    return new_matroid(labels, circuits)
+    return _valid_family(labels, circuits)
 
 
 # Cycle space of the complete graph on four vertices a,b,c,d: one label per

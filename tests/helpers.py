@@ -6,7 +6,7 @@ so they can serve as independent cross-checks.
 
 import itertools
 
-from clutters.core import Clutter, Separation
+from clutters.core import Clutter, MinorSpec, Separation, apply_minor
 
 F = frozenset
 
@@ -52,4 +52,32 @@ def naive_separation(M):
         right = M.ground - left
         if all(A <= left or A <= right for A in M.rows):
             return Separation(left, right)
+    return None
+
+
+def naive_contract(M, v):
+    """Strip v from every row, then keep the rows no other stripped row lies
+    strictly inside: a pairwise minimality filter."""
+    stripped = {A - {v} for A in M.rows}
+    return Clutter(
+        M.ground - {v}, F(S for S in stripped if not any(T < S for T in stripped))
+    )
+
+
+def naive_has_minor(M, N):
+    """The first spec turning M into N over all 2^k delete/contract
+    assignments of the removed elements, run as a base-2 counter over
+    ascending labels with delete before contract; None if there is none.
+    Each spec goes through `apply_minor`, whose `contract` the tests check
+    against `naive_contract`."""
+    if not N.ground <= M.ground:
+        return None
+    removed = sorted(M.ground - N.ground)
+    for assignment in itertools.product((1, 2), repeat=len(removed)):
+        spec = MinorSpec(
+            F(e for e, a in zip(removed, assignment) if a == 1),
+            F(e for e, a in zip(removed, assignment) if a == 2),
+        )
+        if apply_minor(M, spec) == N:
+            return spec
     return None

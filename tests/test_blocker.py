@@ -1,11 +1,16 @@
 """Blocker computation and the duality identities."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clutters.blocker import blocker, blocker_by_enumeration, is_transversal
 from clutters.core import contract, delete, new_clutter
 from clutters.enumeration import enumerate_clutters
 from clutters.errors import ForeignElement
+from clutters.matroid import circuits_clutter, uniform
 
 F = frozenset
 
@@ -54,9 +59,28 @@ class TestBlocker:
 
 class TestBothRoutesAgree:
     def test_exhaustive_small(self):
-        for n in range(5):
+        for n in range(6):
             for M in enumerate_clutters(n):
                 assert blocker(M) == blocker_by_enumeration(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampled(self, data):
+        # n <= 5 is covered exhaustively above
+        n = data.draw(st.integers(min_value=6, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=5)
+        drawn = set(data.draw(st.lists(row, min_size=4, max_size=16), label="rows"))
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        assert blocker(M) == blocker_by_enumeration(M)
+
+    def test_uniform_closed_form(self):
+        # the minimal sets meeting every (r+1)-subset are the (n-r)-subsets
+        for n in range(12):
+            for r in range(n + 1):
+                U = circuits_clutter(uniform(r, n))
+                expected = C(U.ground, *itertools.combinations(sorted(U.ground), n - r))
+                assert blocker(U) == expected
 
 
 class TestInvolution:

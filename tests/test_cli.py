@@ -106,6 +106,36 @@ class TestMinor:
         assert main(["minor", write(TRIANGLE_TEXT), write(n_text)]) == 0
         assert capsys.readouterr().out == "none\n"
 
+    # a path e00-e01-...-e23; 22 removed elements give 2^22 specs
+    PATH24_TEXT = "elements " + " ".join(f"e{i:02d}" for i in range(24)) + "\n" + "".join(
+        f"row e{i:02d} e{i + 1:02d}\n" for i in range(23)
+    )
+
+    def run_prompt(self, argv):
+        def too_slow(signum, frame):
+            raise AssertionError("'minor' took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            return main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_huge_ground_miss_is_prompt(self, write, capsys):
+        # every row of a minor lies inside a row of M, and no row of the
+        # path holds both ends
+        n_text = "elements e00 e23\nrow e00 e23\n"
+        assert self.run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
+        assert capsys.readouterr().out == "none\n"
+
+    def test_huge_ground_hit_is_all_delete(self, write, capsys):
+        n_text = "elements e00 e01\nrow e00 e01\n"
+        assert self.run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
+        deletes = " ".join(f"e{i:02d}" for i in range(2, 24))
+        assert capsys.readouterr().out == f"deletes {deletes}\ncontracts -\n"
+
 
 class TestSplitter:
     def test_step_output(self, write, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_separation
+from helpers import naive_contract, naive_separation
 from clutters import core
 from clutters.core import (
     Clutter,
@@ -113,6 +113,26 @@ class TestContract:
     def test_missing_element(self):
         with pytest.raises(ElementNotFound):
             contract(C("1", "1"), "2")
+
+    def test_matches_pairwise_filter_exhaustive(self):
+        checked = 0
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                for v in M.ground:
+                    assert contract(M, v) == naive_contract(M, v), (M, v)
+                checked += 1
+        assert checked == 7780
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_filter_sampled(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        row = st.frozensets(st.sampled_from(labels), max_size=5)
+        drawn = set(data.draw(st.lists(row, max_size=16), label="rows"))
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        v = data.draw(st.sampled_from(labels), label="v")
+        assert contract(M, v) == naive_contract(M, v)
 
 
 class TestApplyMinor:

@@ -47,6 +47,18 @@ class TestNewMatroid:
         N = new_matroid("123", [["1", "2"], ["2", "3"], ["1", "3"]])
         assert N.circuits == F({F("12"), F("23"), F("13")})
 
+    def test_scan_accepts_constructed_families(self):
+        # uniform and direct_sum skip the elimination scan as valid by
+        # construction; the scan must agree
+        fixtures = [uniform(r, n) for n in range(8) for r in range(n + 1)]
+        fixtures += [
+            two_copies_of_u13(),
+            direct_sum(uniform(1, 3), uniform(0, 0, labels=[])),
+            direct_sum(uniform(1, 2), uniform(0, 1, labels=["3"])),
+        ]
+        for N in fixtures:
+            assert new_matroid(N.ground, N.circuits) == N
+
 
 class TestUniform:
     def test_rank_two_of_four(self):

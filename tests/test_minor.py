@@ -2,6 +2,10 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import all_subsets, naive_clutters, naive_has_minor
 from clutters.core import MinorSpec, apply_minor, contract, delete, new_clutter
 from clutters.enumeration import enumerate_clutters
 from clutters.minor import all_minors, has_minor, is_proper_minor
@@ -102,8 +106,6 @@ class TestAllMinors:
 class TestOracleAgreement:
     def test_exhaustive_small(self):
         # every clutter on {1,2,3} against every clutter on every subset
-        from helpers import all_subsets, naive_clutters
-
         targets = [
             N for sub in all_subsets("123") for N in naive_clutters(sub)
         ]
@@ -112,6 +114,7 @@ class TestOracleAgreement:
                 got = has_minor(M, N)
                 expected = sequential_minor_oracle(M, N)
                 assert (got is not None) == expected
+                assert got == naive_has_minor(M, N)
                 if got is not None:
                     assert apply_minor(M, got) == N
 
@@ -125,3 +128,51 @@ class TestOracleAgreement:
             C("123", "12", "23"),
         ]:
             assert (has_minor(M, N) is not None) == sequential_minor_oracle(M, N)
+
+
+def labels_of(n):
+    return [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+
+
+def subsets_of(labels, max_size=None):
+    return st.frozensets(st.sampled_from(labels), max_size=max_size) if labels else st.just(F())
+
+
+def drawn_clutter(data, labels, max_rows):
+    drawn = set(data.draw(st.lists(subsets_of(labels, 4), max_size=max_rows)))
+    return new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+
+
+class TestFirstWitness:
+    """has_minor returns the first witness of the 2^k base-2 counter."""
+
+    def test_every_minor_exhaustive(self):
+        pairs = 0
+        for n in range(5):
+            for M in enumerate_clutters(n):
+                for N in dict.fromkeys(N for _, N in all_minors(M)):
+                    assert has_minor(M, N) == naive_has_minor(M, N), (M, N)
+                    pairs += 1
+        assert pairs == 6643
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hits_sampled(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        M = drawn_clutter(data, labels_of(n), 10)
+        deletes = data.draw(subsets_of(sorted(M.ground)), label="deletes")
+        contracts = data.draw(subsets_of(sorted(M.ground - deletes)), label="contracts")
+        N = apply_minor(M, MinorSpec(deletes, contracts))
+        witness = has_minor(M, N)
+        assert witness == naive_has_minor(M, N)
+        assert apply_minor(M, witness) == N
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_targets_sampled(self, data):
+        # mostly misses: N is any clutter on a subset of M's ground
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        M = drawn_clutter(data, labels_of(n), 10)
+        keep = data.draw(subsets_of(sorted(M.ground)), label="keep")
+        N = drawn_clutter(data, sorted(keep), 4)
+        assert has_minor(M, N) == naive_has_minor(M, N)
