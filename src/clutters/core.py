@@ -225,5 +225,8 @@ def parse_clutter(text: str) -> Clutter:
             raise ParseError(f"expected a 'row' line, got {ln!r}")
         if len(tokens) == 1:
             raise ParseError("empty row must be written 'row -'")
-        rows.append([] if tokens[1:] == ["-"] else tokens[1:])
+        members = tokens[1:]
+        if "-" in members and members != ["-"]:
+            raise ParseError(f"'-' marks the empty row and stands alone, got {ln!r}")
+        rows.append([] if members == ["-"] else members)
     return new_clutter(ground, rows)

@@ -164,110 +164,90 @@ def verify_theorem(n: int) -> VerificationReport:
     return VerificationReport((result,))
 
 
-def _tally(name: str, cases: Iterator[tuple], holds, label) -> CheckResult:
-    """Count the cases of one identity family; label names each failure."""
-    tested = passed = 0
-    failures = []
-    for case in cases:
-        tested += 1
-        if holds(*case):
-            passed += 1
-        else:
-            failures.append(label(*case))
-    return CheckResult(name, tested, passed, tuple(failures))
-
-
-def _commutes(M: Clutter, v: str, w: str) -> bool:
-    delete, contract = core.delete, core.contract
-    return (
-        delete(delete(M, v), w) == delete(delete(M, w), v)
-        and contract(contract(M, v), w) == contract(contract(M, w), v)
-        and contract(delete(M, v), w) == delete(contract(M, w), v)
-    )
-
-
-def _swaps_duality(M: Clutter, v: str, b: Clutter) -> bool:
-    return blocker(core.delete(M, v)) == core.contract(b, v) and blocker(
-        core.contract(M, v)
-    ) == core.delete(b, v)
-
-
-def _contracts_twin(M: Clutter, v: str, G: graphview.IncidenceGraph) -> bool:
-    contracted = core.contract(M, v)
-    return graphview.incidence_graph(
-        contracted
-    ) == graphview.remove_black_vertex(G, v) and core.is_connected(contracted)
-
-
-def _deletes_neighbourhood(M: Clutter, v: str, G: graphview.IncidenceGraph) -> bool:
-    direct = graphview.incidence_graph(core.delete(M, v))
-    return direct == graphview.delete_closed_neighbourhood(G, v)
-
-
-def _with_elements(clutters: Iterator[Clutter], extra) -> Iterator[tuple]:
-    """(M, v, extra(M)) for every element v of every clutter M."""
-    for M in clutters:
-        side = extra(M)
-        for v in sorted(M.ground):
-            yield M, v, side
-
-
-def _with_twins(n: int) -> Iterator[tuple]:
-    for M, v, G in _with_elements(enumerate_connected(n), graphview.incidence_graph):
-        if graphview.twins(G, v):
-            yield M, v, G
-
-
-def _label_m(M: Clutter, *_) -> str:
-    return f"M=({_inline(M)})"
-
-
-def _label_mv(M: Clutter, v: str, *_) -> str:
-    return f"M=({_inline(M)}) v={v}"
+_FAMILIES = (
+    "deletion-contraction-commutativity",
+    "blocker-involution",
+    "duality-swap",
+    "connectivity-equivalence",
+    "twin-contraction",
+    "deletion-graph-correspondence",
+)
 
 
 def verify_identities(n: int) -> VerificationReport:
     """Check the identity families over every clutter on exactly n elements:
     commutativity of deletion/contraction, blocker involution, the duality
     swap, the connectivity equivalence, twin contraction, and the
-    deletion/graph correspondence."""
+    deletion/graph correspondence.
+
+    One pass over enumerate_clutters(n).  Each clutter M gets its removals
+    M\\v and M/v, their second removals, its blocker and its incidence graph
+    computed once, and each family takes its cases from those values in
+    (M, v[, v']) order and keeps its own tally.  Blockers go through one memo
+    that lives for the call; the removals are dropped once M is done.
+    """
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
-    families = (
-        (
-            "deletion-contraction-commutativity",
-            (
-                (M, v, w)
-                for M in enumerate_clutters(n)
-                for v, w in itertools.permutations(sorted(M.ground), 2)
-            ),
-            _commutes,
-            lambda M, v, w: f"M=({_inline(M)}) v={v} v'={w}",
-        ),
-        (
-            "blocker-involution",
-            ((M,) for M in enumerate_clutters(n)),
-            lambda M: blocker(blocker(M)) == M,
-            _label_m,
-        ),
-        (
-            "duality-swap",
-            _with_elements(enumerate_clutters(n), blocker),
-            _swaps_duality,
-            _label_mv,
-        ),
-        (
-            "connectivity-equivalence",
-            ((M,) for M in enumerate_clutters(n)),
-            graphview.graph_connected_iff_clutter_connected,
-            _label_m,
-        ),
-        ("twin-contraction", _with_twins(n), _contracts_twin, _label_mv),
-        (
-            "deletion-graph-correspondence",
-            _with_elements(enumerate_clutters(n), graphview.incidence_graph),
-            _deletes_neighbourhood,
-            _label_mv,
-        ),
+    delete, contract, graph = core.delete, core.contract, graphview.incidence_graph
+    tested = dict.fromkeys(_FAMILIES, 0)
+    failures = {name: [] for name in _FAMILIES}
+    blockers = {}
+
+    def record(name: str, holds: bool, M: Clutter, *where: str) -> None:
+        tested[name] += 1
+        if not holds:
+            marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
+            failures[name].append(f"M=({_inline(M)}){marks}")
+
+    def blocked(C: Clutter) -> Clutter:
+        if C not in blockers:
+            blockers[C] = blocker(C)
+        return blockers[C]
+
+    for M in enumerate_clutters(n):
+        elems = sorted(M.ground)
+        deleted = {v: delete(M, v) for v in elems}
+        contracted = {v: contract(M, v) for v in elems}
+        b, G = blocked(M), graph(M)
+        pairs = list(itertools.permutations(elems, 2))
+        # (M\v\w, M/v/w, M\v/w, M/v\w) for every ordered pair
+        then = {
+            (v, w): (
+                delete(deleted[v], w),
+                contract(contracted[v], w),
+                contract(deleted[v], w),
+                delete(contracted[v], w),
+            )
+            for v, w in pairs
+        }
+        for v, w in pairs:
+            vw, wv = then[v, w], then[w, v]
+            # M\v\w = M\w\v, M/v/w = M/w/v and M\v/w = M/w\v
+            holds = vw[0] == wv[0] and vw[1] == wv[1] and vw[2] == wv[3]
+            record("deletion-contraction-commutativity", holds, M, v, w)
+        record("blocker-involution", blocked(b) == M, M)
+        for v in elems:
+            holds = (
+                blocked(deleted[v]) == contract(b, v)
+                and blocked(contracted[v]) == delete(b, v)
+            )
+            record("duality-swap", holds, M, v)
+        holds = graphview.graph_connected_iff_clutter_connected(M)
+        record("connectivity-equivalence", holds, M)
+        if core.is_connected(M):
+            for v in elems:
+                if graphview.twins(G, v):
+                    C = contracted[v]
+                    holds = (
+                        graph(C) == graphview.remove_black_vertex(G, v)
+                        and core.is_connected(C)
+                    )
+                    record("twin-contraction", holds, M, v)
+        for v in elems:
+            holds = graph(deleted[v]) == graphview.delete_closed_neighbourhood(G, v)
+            record("deletion-graph-correspondence", holds, M, v)
+    results = (
+        CheckResult(name, count, count - len(failures[name]), tuple(failures[name]))
+        for name, count in tested.items()
     )
-    return VerificationReport(tuple(_tally(*family) for family in families))
+    return VerificationReport(tuple(results))

@@ -1,12 +1,22 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the library's own enumeration and minimality code
-so they can serve as independent cross-checks.
+so they can serve as independent cross-checks.  The identity-family oracle
+is the exception: it walks enumerate_clutters in the verifier's order, one
+generator per family, so that its report can be compared byte for byte.
 """
 
 import itertools
 
+from clutters import core, graphview
+from clutters.blocker import blocker
 from clutters.core import Clutter, MinorSpec, Separation, apply_minor
+from clutters.enumeration import (
+    CheckResult,
+    VerificationReport,
+    enumerate_clutters,
+    enumerate_connected,
+)
 
 F = frozenset
 
@@ -81,3 +91,112 @@ def naive_has_minor(M, N):
         if apply_minor(M, spec) == N:
             return spec
     return None
+
+
+def _tally(name, cases, holds, label):
+    """Count the cases of one identity family; label names each failure."""
+    tested = passed = 0
+    failures = []
+    for case in cases:
+        tested += 1
+        if holds(*case):
+            passed += 1
+        else:
+            failures.append(label(*case))
+    return CheckResult(name, tested, passed, tuple(failures))
+
+
+def _commutes(M, v, w):
+    delete, contract = core.delete, core.contract
+    return (
+        delete(delete(M, v), w) == delete(delete(M, w), v)
+        and contract(contract(M, v), w) == contract(contract(M, w), v)
+        and contract(delete(M, v), w) == delete(contract(M, w), v)
+    )
+
+
+def _swaps_duality(M, v, b):
+    return blocker(core.delete(M, v)) == core.contract(b, v) and blocker(
+        core.contract(M, v)
+    ) == core.delete(b, v)
+
+
+def _contracts_twin(M, v, G):
+    contracted = core.contract(M, v)
+    return graphview.incidence_graph(
+        contracted
+    ) == graphview.remove_black_vertex(G, v) and core.is_connected(contracted)
+
+
+def _deletes_neighbourhood(M, v, G):
+    direct = graphview.incidence_graph(core.delete(M, v))
+    return direct == graphview.delete_closed_neighbourhood(G, v)
+
+
+def _with_elements(clutters, extra):
+    """(M, v, extra(M)) for every element v of every clutter M."""
+    for M in clutters:
+        side = extra(M)
+        for v in sorted(M.ground):
+            yield M, v, side
+
+
+def _with_twins(n):
+    for M, v, G in _with_elements(enumerate_connected(n), graphview.incidence_graph):
+        if graphview.twins(G, v):
+            yield M, v, G
+
+
+def _inline(M):
+    return core.canonical_serialize(M).strip().replace("\n", "; ")
+
+
+def _label_m(M, *_):
+    return f"M=({_inline(M)})"
+
+
+def _label_mv(M, v, *_):
+    return f"M=({_inline(M)}) v={v}"
+
+
+def naive_identity_report(n):
+    """verify_identities(n) the slow way: one enumeration and one generator
+    per family, every removal and blocker recomputed for each case."""
+    families = (
+        (
+            "deletion-contraction-commutativity",
+            (
+                (M, v, w)
+                for M in enumerate_clutters(n)
+                for v, w in itertools.permutations(sorted(M.ground), 2)
+            ),
+            _commutes,
+            lambda M, v, w: f"M=({_inline(M)}) v={v} v'={w}",
+        ),
+        (
+            "blocker-involution",
+            ((M,) for M in enumerate_clutters(n)),
+            lambda M: blocker(blocker(M)) == M,
+            _label_m,
+        ),
+        (
+            "duality-swap",
+            _with_elements(enumerate_clutters(n), blocker),
+            _swaps_duality,
+            _label_mv,
+        ),
+        (
+            "connectivity-equivalence",
+            ((M,) for M in enumerate_clutters(n)),
+            graphview.graph_connected_iff_clutter_connected,
+            _label_m,
+        ),
+        ("twin-contraction", _with_twins(n), _contracts_twin, _label_mv),
+        (
+            "deletion-graph-correspondence",
+            _with_elements(enumerate_clutters(n), graphview.incidence_graph),
+            _deletes_neighbourhood,
+            _label_mv,
+        ),
+    )
+    return VerificationReport(tuple(_tally(*family) for family in families))

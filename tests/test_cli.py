@@ -271,6 +271,13 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_empty_row_marker_beside_members_is_malformed_input(self, write, capsys):
+        assert main(["show", write("elements a b\nrow - a\n")]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_invalid_clutter_is_domain_error(self, write, capsys):
         assert main(["show", write("elements 1 2\nrow 1\nrow 1 2\n")]) == 2
 

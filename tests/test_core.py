@@ -292,7 +292,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "rows 1\n", "elements 1\nrow\n", "elements 1\nboom 1\n"],
+        [
+            "",
+            "rows 1\n",
+            "elements 1\nrow\n",
+            "elements 1\nboom 1\n",
+            "elements a b\nrow - a\n",  # '-' is the empty row, never a member
+            "elements a b\nrow a -\n",
+            "elements a\nrow - -\n",
+        ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):

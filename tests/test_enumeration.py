@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_clutters
-from clutters.core import canonical_serialize, is_connected, new_clutter
+from helpers import naive_clutters, naive_identity_report
+from clutters import core, graphview
+from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
     _connected_minors,
     connected_proper_minors,
@@ -101,6 +102,44 @@ THEOREM_REPORT_SHA256 = {
 # sha256 of verify_identities(4).render() as produced when every incidence-graph
 # function still scanned the edge set on its own
 IDENTITIES_REPORT_SHA256 = "3ef7fdd35a2a086c4318e7491f5b015f541caf99a5223c4e1cb36942f350407d"
+
+# sha256 of verify_identities(n).render() for n<4 as produced by the verifier
+# that walked the enumeration once per family
+SMALL_IDENTITIES_REPORT_SHA256 = {
+    0: "2b634e6ebe94d4eaa1fe95c89feb4ab23916ecdfb499ea14c7e17ba47b598911",
+    1: "5707703317b53b3df2d333d5fc79de22a52813bf103573d549837fcc4914c083",
+    2: "c98b290e4818ad333bbd4cf4c13b77344f1a1f5f4cd45d8e75107b1a410b0437",
+    3: "1ca6aba2524e723c1b4059bc6d8301a911677fcf6b805b5eae1d663217f2fad8",
+}
+
+
+_delete, _incidence_graph = core.delete, graphview.incidence_graph
+
+
+def delete_keeping_no_empty_row(M, v):
+    R = _delete(M, v)
+    return Clutter(R.ground, R.rows - {F()})
+
+
+def graph_without_last_element_edges(M):
+    G = _incidence_graph(M)
+    last = max(G.black, default=None)
+    edges = F(e for e in G.edges if e[0] != last)
+    return graphview.IncidenceGraph(G.black, G.white, edges)
+
+
+# faulty primitives for the identity verifier, as monkeypatch.setattr arguments;
+# the first breaks commutativity, the duality swap and the deletion/graph
+# correspondence, the second the connectivity equivalence, twin contraction
+# and the correspondence
+FAULTS = {
+    "delete-keeps-no-empty-row": (core, "delete", delete_keeping_no_empty_row),
+    "graph-drops-last-element": (
+        graphview,
+        "incidence_graph",
+        graph_without_last_element_edges,
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,6 +277,25 @@ class TestVerifyIdentities:
     def test_report_bytes_pinned(self):
         text = verify_identities(4).render()
         assert hashlib.sha256(text.encode()).hexdigest() == IDENTITIES_REPORT_SHA256
+
+    @pytest.mark.parametrize("n", sorted(SMALL_IDENTITIES_REPORT_SHA256))
+    def test_small_report_bytes_pinned(self, n):
+        text = verify_identities(n).render()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == SMALL_IDENTITIES_REPORT_SHA256[n]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_naive_oracle(self, n):
+        assert verify_identities(n).render() == naive_identity_report(n).render()
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_matches_naive_oracle_under_a_fault(self, fault, monkeypatch):
+        # a primitive that both routes call goes wrong the same way for both,
+        # so the failure lines must agree in text and order, not just in count
+        monkeypatch.setattr(*FAULTS[fault])
+        report = verify_identities(4)
+        assert sum(1 for r in report.results if r.counterexamples) >= 3
+        assert report.render() == naive_identity_report(4).render()
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

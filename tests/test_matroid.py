@@ -1,5 +1,6 @@
 """Circuit matroids, duals, and their clutter specializations."""
 
+import functools
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from helpers import naive_separation
 from clutters import matroid
 from clutters.blocker import blocker
 from clutters.core import Clutter, contract, delete, is_connected, new_clutter
+from clutters.enumeration import enumerate_clutters
 from clutters.errors import (
     BadRank,
     CircuitAxiomViolation,
@@ -259,6 +261,65 @@ class TestMinorCompatibility:
                 agrees = contract(M, e) == Clutter(rest, matroid_contract(N, e))
                 assert agrees == (not is_loop)
         assert (len(matroids), elements, loops) == (23, 79, 16)
+
+
+# matroids on n labeled elements, OEIS A058673
+MATROID_COUNTS = {0: 1, 1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
+# (connected M, distinct connected proper matroid minor N) pairs per n
+MATROID_SPLITTER_PAIRS = {0: 0, 1: 2, 2: 5, 3: 20, 4: 175, 5: 2894}
+
+
+def all_matroids(n):
+    """The circuit clutter of every matroid on '1'..str(n): the clutters with
+    no empty row that pass new_matroid's circuit-elimination scan."""
+    for M in enumerate_clutters(n):
+        if F() in M.rows:
+            continue
+        try:
+            new_matroid(M.ground, M.rows)
+        except CircuitAxiomViolation:
+            continue
+        yield M
+
+
+def matroid_removals(M):
+    """M\\e and M/e of a circuit clutter for every e, where contracting a
+    loop deletes it."""
+    for e in sorted(M.ground):
+        yield delete(M, e)
+        yield delete(M, e) if F({e}) in M.rows else contract(M, e)
+
+
+@functools.lru_cache(maxsize=None)
+def matroid_minors(M):
+    """Every matroid minor of the circuit clutter M, M included."""
+    return F({M}).union(*(matroid_minors(R) for R in matroid_removals(M)))
+
+
+class TestMatroidSplitterProperty:
+    """The abstract's special case: for connected matroids M and N, with N a
+    proper minor of M, some M\\e or M/e stays connected and keeps N as a
+    minor.  Under matroid minors no empty row arises, so the clutter
+    counterexamples (targets ({x}; {∅})) have no counterpart here."""
+
+    @pytest.mark.parametrize("n,count", sorted(MATROID_COUNTS.items()))
+    def test_matroid_counts(self, n, count):
+        assert sum(1 for _ in all_matroids(n)) == count
+
+    @pytest.mark.parametrize("n", sorted(MATROID_SPLITTER_PAIRS))
+    def test_no_counterexamples(self, n):
+        tested = failures = 0
+        for M in all_matroids(n):
+            if not is_connected(M):
+                continue
+            reach = F().union(
+                *(matroid_minors(R) for R in matroid_removals(M) if is_connected(R))
+            )
+            for N in matroid_minors(M):
+                if N.ground != M.ground and is_connected(N):
+                    tested += 1
+                    failures += N not in reach
+        assert (tested, failures) == (MATROID_SPLITTER_PAIRS[n], 0)
 
 
 class TestFileFormat:
