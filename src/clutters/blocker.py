@@ -38,15 +38,15 @@ def blocker(M: Clutter) -> Clutter:
     """
     partial = {frozenset()}
     for A in sorted(M.rows, key=row_sort_key):
-        meeting = {t for t in partial if t & A}
+        missed = [t for t in partial if t.isdisjoint(A)]
+        meeting = partial.difference(missed)
         holders = {a: [k for k in meeting if a in k] for a in A}
-        grown = set(meeting)
-        for t in partial - meeting:
+        for t in missed:
             for a in A:
                 c = t | {a}
                 if not any(k <= c for k in holders[a]):
-                    grown.add(c)
-        partial = grown
+                    meeting.add(c)
+        partial = meeting
     return Clutter(M.ground, frozenset(partial))
 
 

@@ -147,12 +147,18 @@ def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:
 
 def _parts(M: Clutter) -> dict:
     """Each element's part: the connected component of the hypergraph with
-    the elements as vertices and the rows as edges."""
+    the elements as vertices and the rows as edges.
+
+    A row merges the parts it meets; a row inside one part changes nothing
+    and is passed over, which dense clutters make the common case.
+    """
     part = {e: frozenset((e,)) for e in M.ground}
     for row in M.rows:
-        merged = frozenset().union(*(part[e] for e in row))
-        for e in merged:
-            part[e] = merged
+        met = {part[e] for e in row}
+        if len(met) > 1:
+            merged = frozenset().union(*met)
+            for e in merged:
+                part[e] = merged
     return part
 
 

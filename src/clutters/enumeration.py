@@ -181,10 +181,11 @@ def verify_identities(n: int) -> VerificationReport:
     deletion/graph correspondence.
 
     One pass over enumerate_clutters(n).  Each clutter M gets its removals
-    M\\v and M/v, their second removals, its blocker and its incidence graph
-    computed once, and each family takes its cases from those values in
-    (M, v[, v']) order and keeps its own tally.  Blockers go through one memo
-    that lives for the call; the removals are dropped once M is done.
+    M\\v and M/v, their second removals, its blocker, its incidence graph
+    and its connectivity computed once, and each family takes its cases from
+    those values in (M, v[, v']) order and keeps its own tally.  Blockers go
+    through one memo that lives for the call; the removals are dropped once
+    M is done.
     """
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
@@ -232,9 +233,10 @@ def verify_identities(n: int) -> VerificationReport:
                 and blocked(contracted[v]) == delete(b, v)
             )
             record("duality-swap", holds, M, v)
-        holds = graphview.graph_connected_iff_clutter_connected(M)
+        connected = core.is_connected(M)
+        holds = graphview._connectivity_agrees(M, G, connected)
         record("connectivity-equivalence", holds, M)
-        if core.is_connected(M):
+        if connected:
             for v in elems:
                 if graphview.twins(G, v):
                     C = contracted[v]

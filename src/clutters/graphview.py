@@ -48,6 +48,11 @@ class IncidenceGraph:
             adj[(WHITE, w)].add((BLACK, v))
         return {x: frozenset(ns) for x, ns in adj.items()}
 
+    @cached_property
+    def _black_neighbourhoods(self) -> dict:
+        """Each black vertex mapped to its open neighbourhood."""
+        return {v: self._neighbours[(BLACK, v)] for v in self.black}
+
 
 @dataclass(frozen=True)
 class Neighbourhood:
@@ -128,10 +133,14 @@ def graph_connected_iff_clutter_connected(M: Clutter) -> bool:
     returns False exactly when the two notions disagree, which the identity
     verifier counts as a counterexample.
     """
+    return _connectivity_agrees(M, incidence_graph(M), core.is_connected(M))
+
+
+def _connectivity_agrees(M: Clutter, G: IncidenceGraph, connected: bool) -> bool:
+    """graph_connected_iff_clutter_connected(M) given M's incidence graph G
+    and connected = core.is_connected(M), for callers that already hold both."""
     exceptional = len(M.ground) == 1 and M.rows == frozenset({frozenset()})
-    if exceptional:
-        return True
-    return core.is_connected(M) == graph_connected(incidence_graph(M))
+    return exceptional or connected == graph_connected(G)
 
 
 def delete_closed_neighbourhood(G: IncidenceGraph, v: str) -> IncidenceGraph:
@@ -171,10 +180,7 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
 def twins(G: IncidenceGraph, v: str) -> frozenset:
     """All black vertices other than v with the same open neighbourhood."""
     _require_black(G, v)
-    mine = G._neighbours[(BLACK, v)]
-    return frozenset(
-        u for u in G.black if u != v and G._neighbours[(BLACK, u)] == mine
-    )
+    return _twins(G._black_neighbourhoods, v)
 
 
 def contract_twin(M: Clutter, v: str) -> Clutter:
@@ -193,8 +199,23 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
 
 def minimal_black_vertices(G: IncidenceGraph) -> frozenset:
     """Black vertices whose open neighbourhood properly contains no other's."""
-    adj = {v: G._neighbours[(BLACK, v)] for v in G.black}
-    return frozenset(v for v in G.black if not any(ws < adj[v] for ws in adj.values()))
+    return _minimal(G._black_neighbourhoods)
+
+
+# The twin and minimality rules over any {element: neighbourhood} map.  Only
+# equality and proper inclusion of neighbourhoods matter, so an element's set
+# of rows serves as well as its set of white vertices: row_key is injective.
+
+
+def _minimal(adj: dict) -> frozenset:
+    """The elements whose neighbourhood properly contains no other's."""
+    return frozenset(v for v, ns in adj.items() if not any(ws < ns for ws in adj.values()))
+
+
+def _twins(adj: dict, v: str) -> frozenset:
+    """The elements other than v with the same neighbourhood as v."""
+    mine = adj[v]
+    return frozenset(u for u, ns in adj.items() if u != v and ns == mine)
 
 
 def good_components(G: IncidenceGraph, u: str) -> list:

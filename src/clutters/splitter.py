@@ -46,12 +46,19 @@ def candidate_elements(M: Clutter, N: Clutter) -> list:
 
     The classes mirror where connectivity-preserving removals tend to live;
     they affect only which witness is found, never whether one exists.
+    Both rules compare each element's set of rows, gathered in one pass over
+    the rows; it is the element's neighbourhood in M's incidence graph up to
+    row_key, which is injective, so no graph is built.
     """
-    G = graphview.incidence_graph(M)
-    minimal = graphview.minimal_black_vertices(G)
+    held = {v: [] for v in M.ground}
+    for A in M.rows:
+        for v in A:
+            held[v].append(A)
+    rows_of = {v: frozenset(rows) for v, rows in held.items()}
+    minimal = graphview._minimal(rows_of)
     return sorted(
         sorted(M.ground - N.ground),
-        key=lambda v: 0 if v in minimal else 1 if graphview.twins(G, v) else 2,
+        key=lambda v: 0 if v in minimal else 1 if graphview._twins(rows_of, v) else 2,
     )
 
 

@@ -17,6 +17,7 @@ from clutters.enumeration import (
     enumerate_clutters,
     enumerate_connected,
 )
+from clutters.minor import has_minor
 
 F = frozenset
 
@@ -91,6 +92,35 @@ def naive_has_minor(M, N):
         if apply_minor(M, spec) == N:
             return spec
     return None
+
+
+def naive_candidate_elements(M, N):
+    """The splitter candidate order ranked on M's incidence graph: minimal
+    black vertices first, then elements with twins, then the rest, ascending
+    within each class."""
+    G = graphview.incidence_graph(M)
+    minimal = graphview.minimal_black_vertices(G)
+    return sorted(
+        sorted(M.ground - N.ground),
+        key=lambda v: 0 if v in minimal else 1 if graphview.twins(G, v) else 2,
+    )
+
+
+def naive_chain_steps(M, N):
+    """The splitter chain from M down to N as a list of formatted steps, each
+    the first connected removal keeping N as a minor in
+    naive_candidate_elements order, delete before contract."""
+    out = []
+    while M != N:
+        M, text = next(
+            (R, f"{op} {v}\n")
+            for v in naive_candidate_elements(M, N)
+            for op, R in (("delete", core.delete(M, v)), ("contract", core.contract(M, v)))
+            if core.is_connected(R) and has_minor(R, N) is not None
+        )
+        body = core.canonical_serialize(M).splitlines()
+        out.append(text + "".join(f"  {line}\n" for line in body))
+    return out
 
 
 def _tally(name, cases, holds, label):

@@ -7,8 +7,10 @@ import pytest
 
 from clutters.blocker import blocker
 from clutters.cli import main
-from clutters.core import canonical_serialize, new_clutter
+from clutters.core import MinorSpec, apply_minor, canonical_serialize, new_clutter
 from clutters.graphview import incidence_graph, to_dot
+from clutters.matroid import circuits_clutter, uniform
+from helpers import naive_chain_steps
 
 
 @pytest.fixture
@@ -22,6 +24,21 @@ def write(tmp_path):
         return str(path)
 
     return _write
+
+
+def run_prompt(argv):
+    """main(argv) under a 5 s alarm."""
+
+    def too_slow(signum, frame):
+        raise AssertionError(f"{argv[0]!r} took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 PATH_TEXT = "elements 1 2 3\nrow 1 2\nrow 2 3\n"
@@ -81,18 +98,7 @@ class TestConnected:
         text = "elements " + " ".join(sorted(labels)) + "\n" + "".join(
             f"row {' '.join(sorted(labels[i : i + 2]))}\n" for i in range(29)
         )
-        path = write(text)
-
-        def too_slow(signum, frame):
-            raise AssertionError("'connected' took more than 5 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(5)
-        try:
-            assert main(["connected", path]) == 0
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        assert run_prompt(["connected", write(text)]) == 0
 
 
 class TestMinor:
@@ -111,28 +117,16 @@ class TestMinor:
         f"row e{i:02d} e{i + 1:02d}\n" for i in range(23)
     )
 
-    def run_prompt(self, argv):
-        def too_slow(signum, frame):
-            raise AssertionError("'minor' took more than 5 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(5)
-        try:
-            return main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
     def test_huge_ground_miss_is_prompt(self, write, capsys):
         # every row of a minor lies inside a row of M, and no row of the
         # path holds both ends
         n_text = "elements e00 e23\nrow e00 e23\n"
-        assert self.run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
+        assert run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
         assert capsys.readouterr().out == "none\n"
 
     def test_huge_ground_hit_is_all_delete(self, write, capsys):
         n_text = "elements e00 e01\nrow e00 e01\n"
-        assert self.run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
+        assert run_prompt(["minor", write(self.PATH24_TEXT), write(n_text)]) == 0
         deletes = " ".join(f"e{i:02d}" for i in range(2, 24))
         assert capsys.readouterr().out == f"deletes {deletes}\ncontracts -\n"
 
@@ -202,6 +196,30 @@ class TestChain:
     def test_equal_files_empty_output(self, write, capsys):
         assert main(["chain", write(PATH_TEXT), write(PATH_TEXT)]) == 0
         assert capsys.readouterr().out == ""
+
+
+class TestBigChain:
+    """U(3,11): 11 elements and 330 rows, every 4-subset."""
+
+    LABELS = [f"e{i:02d}" for i in range(11)]
+    M = circuits_clutter(uniform(3, 11, LABELS))
+    # delete e01 e03 e05 e07, contract e08 e10: every pair of the rest
+    N = apply_minor(
+        M, MinorSpec(frozenset({"e01", "e03", "e05", "e07"}), frozenset({"e08", "e10"}))
+    )
+
+    def test_chain_to_empty(self, write, capsys):
+        steps = naive_chain_steps(self.M, new_clutter([], []))
+        assert len(steps) == 11
+        assert run_prompt(["chain", write(canonical_serialize(self.M))]) == 0
+        assert capsys.readouterr().out == "".join(steps)
+
+    def test_splitter_step(self, write, capsys):
+        assert len(self.N.ground) == 5
+        first = naive_chain_steps(self.M, self.N)[0]
+        files = [write(canonical_serialize(C)) for C in (self.M, self.N)]
+        assert run_prompt(["splitter", *files]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestDot:

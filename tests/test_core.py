@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_contract, naive_separation
@@ -31,6 +31,7 @@ from clutters.errors import (
     InvalidSpec,
     ParseError,
 )
+from clutters.matroid import circuits_clutter, uniform
 
 F = frozenset
 
@@ -238,6 +239,44 @@ class TestFindSeparation:
         M = new_clutter(labels, rows)
         assert find_separation(M) == naive_separation(M)
         assert is_connected(M) == (naive_separation(M) is None)
+
+
+class TestDenseConnectivity:
+    """Dense clutters, where most rows lie inside a part already joined and
+    the component pass passes them over."""
+
+    @staticmethod
+    def check(M):
+        assert find_separation(M) == naive_separation(M), M
+        assert is_connected(M) == (naive_separation(M) is None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_uniform_sampled(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        r = data.draw(st.integers(min_value=0, max_value=n), label="r")
+        self.check(circuits_clutter(uniform(r, n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_many_rows_sampled(self, data):
+        # rows of one size drawn inside one or two blocks of the labels, at
+        # least as many rows as elements; two blocks are never joined
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        cut = data.draw(st.integers(min_value=1, max_value=n), label="cut")
+        size = data.draw(st.integers(min_value=1, max_value=4), label="size")
+        pool = [
+            F(combo)
+            for block in (labels[:cut], labels[cut:])
+            for combo in itertools.combinations(block, size)
+        ]
+        assume(len(pool) >= n)
+        rows = data.draw(
+            st.lists(st.sampled_from(pool), min_size=n, max_size=3 * n, unique=True),
+            label="rows",
+        )
+        self.check(new_clutter(labels, rows))
 
 
 class TestIsConnected:

@@ -3,8 +3,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clutters import graphview
 from clutters.core import (
+    MinorSpec,
+    apply_minor,
     canonical_serialize,
     contract,
     delete,
@@ -18,6 +23,7 @@ from clutters.enumeration import (
 )
 from clutters.errors import ClutterError, PreconditionViolation, TheoremCounterexample
 from clutters.graphview import incidence_graph, minimal_black_vertices
+from clutters.matroid import circuits_clutter, uniform
 from clutters.minor import all_minors, has_minor, is_proper_minor
 from clutters.splitter import (
     SplitterStep,
@@ -29,6 +35,7 @@ from clutters.splitter import (
     format_chain,
     format_step,
 )
+from helpers import all_subsets, naive_candidate_elements
 
 F = frozenset
 
@@ -280,6 +287,88 @@ class TestCounterexampleReport:
     def test_no_candidates(self):
         report = counterexample_report(TRIANGLE, TRIANGLE)
         assert "candidates:\n  (none)\n\n" in report
+
+
+class TestCandidateOrder:
+    """candidate_elements ranks by row membership; the incidence-graph
+    ranking is its oracle."""
+
+    def test_every_target_ground_exhaustive(self):
+        checked = 0
+        for n in range(5):
+            for M in enumerate_clutters(n):
+                for keep in all_subsets(M.ground):
+                    N = new_clutter(keep, [])
+                    assert candidate_elements(M, N) == naive_candidate_elements(M, N), M
+                    checked += 1
+        assert checked == 2 * 1 + 3 * 2 + 6 * 4 + 20 * 8 + 168 * 16
+
+    def test_empty_target_ground_n5_exhaustive(self):
+        N = C("")
+        checked = 0
+        for M in enumerate_clutters(5):
+            assert candidate_elements(M, N) == naive_candidate_elements(M, N), M
+            checked += 1
+        assert checked == 7581
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sampled(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        shape = data.draw(st.sampled_from(["random", "uniform", "twins"]), label="shape")
+        if shape == "uniform":
+            r = data.draw(st.integers(min_value=0, max_value=n), label="r")
+            M = circuits_clutter(uniform(r, n, labels))
+        else:
+            row = st.frozensets(st.sampled_from(labels), max_size=5) if labels else st.just(F())
+            drawn = set(data.draw(st.lists(row, max_size=16), label="rows"))
+            rows = [A for A in drawn if not any(B < A for B in drawn)]
+            if shape == "twins" and n:
+                # each new label joins exactly the rows of a drawn old one, so
+                # the two are twins; the rows stay an antichain
+                mates = data.draw(st.lists(st.sampled_from(labels), max_size=4), label="mates")
+                for i, v in enumerate(mates):
+                    w = f"t{i}"
+                    labels = labels + [w]
+                    rows = [A | {w} if v in A else A for A in rows]
+            M = new_clutter(labels, rows)
+        pool = st.sampled_from(sorted(M.ground)) if M.ground else st.nothing()
+        N = new_clutter(data.draw(st.frozensets(pool), label="keep"), [])
+        assert candidate_elements(M, N) == naive_candidate_elements(M, N)
+
+
+class TestNoIncidenceGraph:
+    """Splitter steps and chains rank candidates without building an
+    incidence graph; only the counterexample report analyses one."""
+
+    U39 = circuits_clutter(uniform(3, 9, [f"e{i}" for i in range(9)]))
+
+    def test_steps_and_chains(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("incidence_graph called")
+
+        monkeypatch.setattr(graphview, "incidence_graph", refuse)
+        M = self.U39
+        N = apply_minor(M, MinorSpec(F({"e1", "e4", "e6"}), F({"e2"})))
+        step = find_splitter(M, N)
+        assert has_minor(step.result, N) is not None
+        assert chain(M, N).final == N
+        assert chain_to_empty(M).final == C("")
+
+    def test_counterexample_report_analyses_the_graph(self, monkeypatch):
+        calls = []
+        real = graphview.incidence_graph
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(graphview, "incidence_graph", counted)
+        M = C("abc", "ab", "bc")
+        report = counterexample_report(M, new_clutter("c", [[]]))
+        assert "minimal black vertices: a c" in report
+        assert calls == [M]
 
 
 # sha256 values taken from the implementation that ranked candidates with
