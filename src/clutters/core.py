@@ -9,7 +9,7 @@ operations preserve the antichain property, and their order never matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import (
@@ -27,12 +27,104 @@ def row_sort_key(row: frozenset) -> tuple:
     return (len(row), tuple(sorted(row)))
 
 
-@dataclass(frozen=True)
-class Clutter:
+class _RecordType(type):
+    """Metaclass of the records.  Each record class gets one slot per
+    annotated field, in order, then any slots its body names (such as
+    `__dict__`), and the per-class helpers that `_Record` works through.
+    Fields are not inherited: every record class derives from `_Record`
+    directly."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._fields = fields
+        # the slots' own setters, which bypass the guarded __setattr__
+        cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
+        if len(fields) > 1:
+            values = attrgetter(*fields)
+        else:  # attrgetter of one name returns the bare value, not a tuple
+            values = lambda record: tuple(getattr(record, f) for f in fields)
+        cls._values = staticmethod(values)  # record -> tuple of its fields
+        return cls
+
+
+class _Record(metaclass=_RecordType):
+    """Base of the package's immutable values.
+
+    A record is built from its fields by position or keyword, cannot be
+    changed after construction, equals only a record of the same class with
+    equal fields, hashes as the tuple of its fields, and pickles and copies
+    by calling its class with its fields.
+    """
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values given by position and keyword, in field order."""
+        if len(args) > len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}"
+            )
+        values = list(args)
+        for field in cls._fields[len(args) :]:
+            if field not in kwargs:
+                raise TypeError(f"{cls.__name__} is missing field {field!r}")
+            values.append(kwargs.pop(field))
+        if kwargs:
+            raise TypeError(
+                f"{cls.__name__} got unexpected or repeated fields: {', '.join(kwargs)}"
+            )
+        return tuple(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickling and copying call the class, not the guarded __setattr__
+        return (self.__class__, self._values(self))
+
+
+class Clutter(_Record):
     """Immutable clutter value; construct through new_clutter or parse_clutter."""
 
     ground: frozenset
     rows: frozenset
+
+    # Spelled out rather than inherited: clutters are built, compared and
+    # hashed on every hot path (delete, contract, the verifier's memo keys).
+    def __init__(self, ground: frozenset, rows: frozenset):
+        _set_ground(self, ground)
+        _set_rows(self, rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.rows) == (other.ground, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.rows))
 
     def __repr__(self) -> str:
         g = " ".join(sorted(self.ground))
@@ -42,16 +134,17 @@ class Clutter:
         return f"Clutter([{g}] {rs})"
 
 
-@dataclass(frozen=True)
-class Separation:
+_set_ground, _set_rows = Clutter._setters
+
+
+class Separation(_Record):
     """A bipartition of the ground set with every row inside one part."""
 
     left: frozenset
     right: frozenset
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(_Record):
     """Disjoint delete/contract element sets describing a minor."""
 
     deletes: frozenset

@@ -11,12 +11,11 @@ reports; counterexamples are report content, not errors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import core, graphview
 from .blocker import blocker
-from .core import Clutter, canonical_serialize
+from .core import Clutter, _Record, canonical_serialize
 from .errors import TooLarge
 
 MAX_GROUND = 5
@@ -61,8 +60,10 @@ def _inline(M: Clutter) -> str:
     return canonical_serialize(M).strip().replace("\n", "; ")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
+    """One verifier check: how many cases it tested and passed, and the
+    counterexample lines of the ones that failed."""
+
     name: str
     tested: int
     passed: int
@@ -75,8 +76,9 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    """The check results of one verifier run, in order."""
+
     results: tuple
 
     def render(self) -> str:

@@ -10,11 +10,10 @@ the tagged pair ('black', element) or ('white', row key).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import core
-from .core import Clutter
+from .core import Clutter, _Record
 from .errors import NoTwin, NotBlack, NotMinimal, VertexNotFound
 
 BLACK = "black"
@@ -28,11 +27,15 @@ def row_key(row: frozenset) -> str:
     return "r:" + (",".join(sorted(row)) if row else "-")
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
+class IncidenceGraph(_Record):
+    """The bipartite incidence graph of a clutter: black vertices are its
+    elements, white vertices its rows, and each element is joined to the
+    rows that contain it."""
+
     black: frozenset  # element labels
     white: frozenset  # row keys
     edges: frozenset  # (element, row key) pairs
+    __slots__ = ("__dict__",)  # holds the cached_property maps below
 
     @cached_property
     def _neighbours(self) -> dict:
@@ -54,8 +57,9 @@ class IncidenceGraph:
         return {v: self._neighbours[(BLACK, v)] for v in self.black}
 
 
-@dataclass(frozen=True)
-class Neighbourhood:
+class Neighbourhood(_Record):
+    """A vertex of an incidence graph with its open and closed neighbourhoods."""
+
     center: Vertex
     open: frozenset  # adjacent vertices, center excluded
     closed: frozenset  # open plus the center

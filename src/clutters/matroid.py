@@ -11,17 +11,17 @@ Intended for grounds of a dozen elements or fewer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import core
 from .blocker import blocker
-from .core import Clutter, new_clutter, row_sort_key
+from .core import Clutter, _Record, new_clutter, row_sort_key
 from .errors import BadRank, CircuitAxiomViolation, GroundOverlap, ParseError
 
 
-@dataclass(frozen=True)
-class CircuitMatroid:
+class CircuitMatroid(_Record):
+    """A matroid given by its ground set and its family of circuits."""
+
     ground: frozenset
     circuits: frozenset
 

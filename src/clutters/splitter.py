@@ -9,25 +9,26 @@ renders the full forensic picture of such a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core, graphview, minor
-from .core import Clutter, canonical_serialize
+from .core import Clutter, _Record, canonical_serialize
 from .errors import PreconditionViolation, TheoremCounterexample
 
 DELETE = "delete"
 CONTRACT = "contract"
 
 
-@dataclass(frozen=True)
-class SplitterStep:
+class SplitterStep(_Record):
+    """One step of a splitter chain: the element deleted or contracted, and
+    the clutter it leaves."""
+
     element: str
     op: str  # DELETE or CONTRACT
     result: Clutter
 
 
-@dataclass(frozen=True)
-class SplitterChain:
+class SplitterChain(_Record):
+    """A clutter and the splitter steps taken from it, in order."""
+
     start: Clutter
     steps: tuple
 

@@ -48,6 +48,25 @@ def naive_clutters(ground):
         yield Clutter(ground, family)
 
 
+def predicted_counterexamples(n):
+    """The closed-form family of splitter-property failures on the ground
+    '1'..str(n), n >= 3, as (M, N) pairs.
+
+    For each c in E and each A within E - c with |A| >= n - 2, M has the
+    rows {c, a} for a in A and the row E - c.  The target is
+    N = ({x}; {empty row}), where x = c if A = E - c and otherwise x is the
+    one element of E - c - A.  So n choices of c and n of x give n² pairs.
+    """
+    ground = [str(i + 1) for i in range(n)]
+    pairs = []
+    for c in ground:
+        rest = [e for e in ground if e != c]
+        for x in [c] + rest:
+            rows = [[c, a] for a in rest if a != x] + [rest]
+            pairs.append((core.new_clutter(ground, rows), core.new_clutter([x], [[]])))
+    return pairs
+
+
 def naive_separation(M):
     """The lexicographically first separation by brute force over all 2^(n-1)
     left parts that contain the least element, or None if M is connected."""

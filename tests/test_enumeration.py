@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_clutters, naive_identity_report
+from helpers import naive_clutters, naive_identity_report, predicted_counterexamples
 from clutters import core, graphview
 from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
@@ -19,7 +19,7 @@ from clutters.enumeration import (
     verify_theorem,
 )
 from clutters.errors import TheoremCounterexample, TooLarge
-from clutters.minor import all_minors
+from clutters.minor import all_minors, has_minor
 from clutters.splitter import find_splitter
 
 F = frozenset
@@ -247,6 +247,30 @@ class TestVerifyTheorem:
         M = new_clutter("12", [["1", "2"]])
         values = connected_proper_minors(M)
         assert len(values) == len(set(values))
+
+
+class TestKnownCounterexamples:
+    """The closed form of the splitter-property failures (README, "Known
+    counterexamples") against the verifier and against its case proof."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closed_form_is_the_failure_set(self, n):
+        # theorem_report shares its n=5 run with the pinned-hash test
+        (result,) = theorem_report(n).results
+        predicted = {
+            f"M=({inline(M)})  N=({inline(N)})" for M, N in predicted_counterexamples(n)
+        }
+        assert len(predicted) == n * n
+        assert set(result.counterexamples) == predicted
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_predicted_pair_fails_over_its_single_removals(self, n):
+        for M, N in predicted_counterexamples(n):
+            assert is_connected(M) and is_connected(N)
+            assert N.ground < M.ground and has_minor(M, N) is not None
+            for v in sorted(M.ground):
+                for R in (core.delete(M, v), core.contract(M, v)):
+                    assert not is_connected(R) or has_minor(R, N) is None, (M, v)
 
 
 class TestVerifyIdentities:
