@@ -10,7 +10,7 @@ clutter whose sole row is empty blocks to no rows at all.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import Clutter, row_sort_key
 from .errors import ForeignElement, TooLarge

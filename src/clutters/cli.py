@@ -3,14 +3,14 @@
 Batch subcommands over clutter files in the canonical text format.  Results
 go to stdout, diagnostics to stderr; exit codes: 0 success (or 'connected'),
 1 disconnected, 2 domain error, 64 usage error, 65 unreadable or malformed
-input.
+input, 74 failed write to stdout (a closed pipe or a full device).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
 
 from . import core, enumeration, graphview, minor, splitter
 from .blocker import blocker
@@ -24,6 +24,9 @@ def _load(path: str) -> Clutter:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        # an unreadable input file, kept apart from a failed write to stdout
+        raise ParseError(str(exc)) from None
     return core.parse_clutter(text)
 
 
@@ -160,7 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def _silence_stdout() -> None:
+    """Point file descriptor 1 at the null device, so that the interpreter's
+    flush of stdout at exit has nothing left to fail on."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # stdout without a file descriptor
+        pass
+
+
+def main(argv: list | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -168,8 +182,10 @@ def main(argv: Optional[list] = None) -> int:
         # argparse exits 2 on usage problems and 0 on --help
         return 64 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
-    except (ParseError, OSError) as exc:
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
     except TheoremCounterexample as exc:
@@ -179,6 +195,11 @@ def main(argv: Optional[list] = None) -> int:
     except ClutterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # _load turns read errors into ParseError, so this is stdout failing
+        print(f"error: {exc}", file=sys.stderr)
+        _silence_stdout()
+        return 74
 
 
 def entrypoint() -> None:

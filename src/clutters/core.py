@@ -9,8 +9,8 @@ operations preserve the antichain property, and their order never matters.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import attrgetter
-from typing import Iterable, Optional
 
 from .errors import (
     AntichainViolation,
@@ -255,7 +255,7 @@ def _parts(M: Clutter) -> dict:
     return part
 
 
-def find_separation(M: Clutter) -> Optional[Separation]:
+def find_separation(M: Clutter) -> Separation | None:
     """A witness separation, or None if the clutter is connected.
 
     Deterministic: of the valid left parts containing the least element, the

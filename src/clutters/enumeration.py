@@ -11,7 +11,7 @@ reports; counterexamples are report content, not errors.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import core, graphview
 from .blocker import blocker
@@ -166,6 +166,16 @@ def verify_theorem(n: int) -> VerificationReport:
     return VerificationReport((result,))
 
 
+class _Removal(_Record):
+    """A single removal R = M\\v or M/v as the identity families use it:
+    R\\w and R/w keyed by the element w, R's blocker and R's incidence graph."""
+
+    deleted: dict
+    contracted: dict
+    blocker: Clutter
+    graph: graphview.IncidenceGraph
+
+
 _FAMILIES = (
     "deletion-contraction-commutativity",
     "blocker-involution",
@@ -182,19 +192,23 @@ def verify_identities(n: int) -> VerificationReport:
     swap, the connectivity equivalence, twin contraction, and the
     deletion/graph correspondence.
 
-    One pass over enumerate_clutters(n).  Each clutter M gets its removals
-    M\\v and M/v, their second removals, its blocker, its incidence graph
-    and its connectivity computed once, and each family takes its cases from
-    those values in (M, v[, v']) order and keeps its own tally.  Blockers go
-    through one memo that lives for the call; the removals are dropped once
-    M is done.
+    One pass over enumerate_clutters(n).  Each family takes its cases in
+    (M, v[, v']) order from values computed once per run, and keeps its own
+    tally.  Every single removal M\\v or M/v is one of the clutters on the
+    n-1 elements left, and each of those is the removal of many M.  So one
+    memo that lives for the call, keyed by primitive and clutter value,
+    holds the blocker of every M and, for each clutter on n-1 elements that
+    occurs, its removals, its blocker and its incidence graph.  M's own
+    removals and graph and the removals of its blocker serve that M alone;
+    they are computed directly and dropped once M is done, which keeps the
+    memo to one blocker per M plus the clutters on n-1 elements.
     """
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
     delete, contract, graph = core.delete, core.contract, graphview.incidence_graph
     tested = dict.fromkeys(_FAMILIES, 0)
     failures = {name: [] for name in _FAMILIES}
-    blockers = {}
+    memo = {}
 
     def record(name: str, holds: bool, M: Clutter, *where: str) -> None:
         tested[name] += 1
@@ -202,38 +216,40 @@ def verify_identities(n: int) -> VerificationReport:
             marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
             failures[name].append(f"M=({_inline(M)}){marks}")
 
-    def blocked(C: Clutter) -> Clutter:
-        if C not in blockers:
-            blockers[C] = blocker(C)
-        return blockers[C]
+    def once(primitive, C: Clutter):
+        """primitive(C), computed once per run for each clutter value C."""
+        value = memo.get((primitive, C))
+        if value is None:
+            value = memo[primitive, C] = primitive(C)
+        return value
+
+    def removal(R: Clutter) -> _Removal:
+        return _Removal(
+            {w: delete(R, w) for w in R.ground},
+            {w: contract(R, w) for w in R.ground},
+            blocker(R),
+            graph(R),
+        )
 
     for M in enumerate_clutters(n):
         elems = sorted(M.ground)
         deleted = {v: delete(M, v) for v in elems}
         contracted = {v: contract(M, v) for v in elems}
-        b, G = blocked(M), graph(M)
-        pairs = list(itertools.permutations(elems, 2))
-        # (M\v\w, M/v/w, M\v/w, M/v\w) for every ordered pair
-        then = {
-            (v, w): (
-                delete(deleted[v], w),
-                contract(contracted[v], w),
-                contract(deleted[v], w),
-                delete(contracted[v], w),
-            )
-            for v, w in pairs
-        }
-        for v, w in pairs:
-            vw, wv = then[v, w], then[w, v]
+        b, G = once(blocker, M), graph(M)
+        D = {v: once(removal, R) for v, R in deleted.items()}
+        C = {v: once(removal, R) for v, R in contracted.items()}
+        for v, w in itertools.permutations(elems, 2):
             # M\v\w = M\w\v, M/v/w = M/w/v and M\v/w = M/w\v
-            holds = vw[0] == wv[0] and vw[1] == wv[1] and vw[2] == wv[3]
-            record("deletion-contraction-commutativity", holds, M, v, w)
-        record("blocker-involution", blocked(b) == M, M)
-        for v in elems:
             holds = (
-                blocked(deleted[v]) == contract(b, v)
-                and blocked(contracted[v]) == delete(b, v)
+                D[v].deleted[w] == D[w].deleted[v]
+                and C[v].contracted[w] == C[w].contracted[v]
+                and D[v].contracted[w] == C[w].deleted[v]
             )
+            record("deletion-contraction-commutativity", holds, M, v, w)
+        record("blocker-involution", once(blocker, b) == M, M)
+        for v in elems:
+            # blocker(M\v) = b/v and blocker(M/v) = b\v
+            holds = D[v].blocker == contract(b, v) and C[v].blocker == delete(b, v)
             record("duality-swap", holds, M, v)
         connected = core.is_connected(M)
         holds = graphview._connectivity_agrees(M, G, connected)
@@ -241,14 +257,13 @@ def verify_identities(n: int) -> VerificationReport:
         if connected:
             for v in elems:
                 if graphview.twins(G, v):
-                    C = contracted[v]
                     holds = (
-                        graph(C) == graphview.remove_black_vertex(G, v)
-                        and core.is_connected(C)
+                        C[v].graph == graphview.remove_black_vertex(G, v)
+                        and core.is_connected(contracted[v])
                     )
                     record("twin-contraction", holds, M, v)
         for v in elems:
-            holds = graph(deleted[v]) == graphview.delete_closed_neighbourhood(G, v)
+            holds = D[v].graph == graphview.delete_closed_neighbourhood(G, v)
             record("deletion-graph-correspondence", holds, M, v)
     results = (
         CheckResult(name, count, count - len(failures[name]), tuple(failures[name]))

@@ -11,7 +11,7 @@ Intended for grounds of a dozen elements or fewer.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from . import core
 from .blocker import blocker
@@ -88,7 +88,7 @@ def direct_sum(N1: CircuitMatroid, N2: CircuitMatroid) -> CircuitMatroid:
     return _valid_family(N1.ground | N2.ground, N1.circuits | N2.circuits)
 
 
-def uniform(r: int, n: int, labels: Optional[Iterable[str]] = None) -> CircuitMatroid:
+def uniform(r: int, n: int, labels: Iterable[str] | None = None) -> CircuitMatroid:
     """The uniform matroid of rank r on n elements: circuits are all
     (r+1)-subsets, which satisfy circuit elimination by construction.
     Default labels are '1'..'n'."""

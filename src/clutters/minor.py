@@ -8,7 +8,7 @@ turns M into exactly N.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .core import Clutter, MinorSpec, apply_minor, contract, delete
 
@@ -31,7 +31,7 @@ def _traces_cover(C: Clutter, N: Clutter) -> bool:
     return not missing
 
 
-def has_minor(M: Clutter, N: Clutter) -> Optional[MinorSpec]:
+def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
     """A witness spec turning M into N, or None.
 
     The removed elements are decided depth-first in ascending label order,

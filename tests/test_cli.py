@@ -1,7 +1,12 @@
 """Command-line interface: output bytes and exit codes."""
 
 import hashlib
+import io
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,8 @@ def run_prompt(argv):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PATH_TEXT = "elements 1 2 3\nrow 1 2\nrow 2 3\n"
 TRIANGLE_TEXT = "elements 1 2 3\nrow 1 2\nrow 1 3\nrow 2 3\n"
@@ -324,3 +331,56 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestFailedStdout:
+    """A valid command whose stdout cannot be written exits 74 with one
+    error line, whether stdout is buffered or not."""
+
+    ARGVS = [["verify", "--n", "4"], ["verify", "--n", "3", "--theorem"], ["show"]]
+
+    def run(self, argv, write, stdout, buffered):
+        if argv == ["show"]:
+            argv = argv + [write(PATH_TEXT)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "clutters.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_closed_pipe(self, write, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(argv, write, write_end, buffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 74
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_full_device(self, write, argv, buffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run(argv, write, full, buffered)
+        assert proc.returncode == 74
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    def test_in_process_stdout_without_descriptor(self, write, monkeypatch, capsys):
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Broken())
+        assert main(["show", write(PATH_TEXT)]) == 74
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -2,13 +2,16 @@
 
 import functools
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import naive_clutters, naive_identity_report, predicted_counterexamples
-from clutters import core, graphview
+from clutters import core, enumeration, graphview
+from clutters.blocker import blocker
 from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
     _connected_minors,
@@ -113,12 +116,21 @@ SMALL_IDENTITIES_REPORT_SHA256 = {
 }
 
 
-_delete, _incidence_graph = core.delete, graphview.incidence_graph
+_delete, _contract = core.delete, core.contract
+_incidence_graph = graphview.incidence_graph
 
 
 def delete_keeping_no_empty_row(M, v):
     R = _delete(M, v)
     return Clutter(R.ground, R.rows - {F()})
+
+
+def contract_unfiltered_at_last_element(M, v):
+    # strips v from every row but keeps the non-minimal results when v is
+    # M's largest element, so the order of two contractions starts to matter
+    if v != max(M.ground):
+        return _contract(M, v)
+    return Clutter(M.ground - {v}, F(A - {v} for A in M.rows))
 
 
 def graph_without_last_element_edges(M):
@@ -128,18 +140,52 @@ def graph_without_last_element_edges(M):
     return graphview.IncidenceGraph(G.black, G.white, edges)
 
 
-# faulty primitives for the identity verifier, as monkeypatch.setattr arguments;
-# the first breaks commutativity, the duality swap and the deletion/graph
-# correspondence, the second the connectivity equivalence, twin contraction
-# and the correspondence
+def blocker_without_last_row(M):
+    b = blocker(M)
+    rows = sorted(b.rows, key=core.row_sort_key)
+    return Clutter(b.ground, F(rows[:-1]))
+
+
+# faulty primitives for the identity verifier: each entry is the
+# monkeypatch.setattr triples that install the fault, then the families it
+# breaks at n=4; the blocker is bound by name in the verifier and the oracle,
+# so its fault is installed at both bindings
 FAULTS = {
-    "delete-keeps-no-empty-row": (core, "delete", delete_keeping_no_empty_row),
+    "delete-keeps-no-empty-row": (
+        ((core, "delete", delete_keeping_no_empty_row),),
+        {
+            "deletion-contraction-commutativity",
+            "duality-swap",
+            "deletion-graph-correspondence",
+        },
+    ),
+    "contract-unfiltered-at-last-element": (
+        ((core, "contract", contract_unfiltered_at_last_element),),
+        {"deletion-contraction-commutativity", "duality-swap"},
+    ),
     "graph-drops-last-element": (
-        graphview,
-        "incidence_graph",
-        graph_without_last_element_edges,
+        ((graphview, "incidence_graph", graph_without_last_element_edges),),
+        {
+            "connectivity-equivalence",
+            "twin-contraction",
+            "deletion-graph-correspondence",
+        },
+    ),
+    "blocker-drops-last-row": (
+        (
+            (enumeration, "blocker", blocker_without_last_row),
+            (helpers, "blocker", blocker_without_last_row),
+        ),
+        {"blocker-involution", "duality-swap"},
     ),
 }
+
+
+def install(fault, monkeypatch):
+    patches, broken = FAULTS[fault]
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
+    return broken
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,10 +362,53 @@ class TestVerifyIdentities:
     def test_matches_naive_oracle_under_a_fault(self, fault, monkeypatch):
         # a primitive that both routes call goes wrong the same way for both,
         # so the failure lines must agree in text and order, not just in count
-        monkeypatch.setattr(*FAULTS[fault])
+        broken = install(fault, monkeypatch)
         report = verify_identities(4)
-        assert sum(1 for r in report.results if r.counterexamples) >= 3
+        assert len(broken) >= 2
+        assert {r.name for r in report.results if r.counterexamples} == broken
         assert report.render() == naive_identity_report(4).render()
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_small_matches_naive_oracle_under_a_fault(self, fault, n, monkeypatch):
+        install(fault, monkeypatch)
+        assert verify_identities(n).render() == naive_identity_report(n).render()
+
+    def test_primitive_calls_bounded(self, monkeypatch):
+        # every single removal of a clutter on 4 elements is one of the 80
+        # clutters on 3 of them: their removals, blockers and graphs are
+        # computed once per run, M's own and its blocker's once per M
+        calls = {"removals": 0, "graphs": 0, "blockers": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(core, "delete", counted("removals", core.delete))
+        monkeypatch.setattr(core, "contract", counted("removals", core.contract))
+        monkeypatch.setattr(
+            graphview, "incidence_graph", counted("graphs", graphview.incidence_graph)
+        )
+        monkeypatch.setattr(enumeration, "blocker", counted("blockers", blocker))
+        verify_identities(4)
+        # 168 * 8 removals of M and of its blocker, 80 * 6 of the clutters on
+        # 3 elements; 168 + 80 graphs and blockers
+        assert calls["removals"] <= 168 * 8 * 2 + 80 * 6
+        assert calls["graphs"] <= 168 + 80
+        assert calls["blockers"] <= 168 + 80
+
+    def test_traced_peak_memory_bounded(self):
+        verify_identities(4)  # any lazily built module state is not the run's
+        tracemalloc.start()
+        try:
+            verify_identities(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

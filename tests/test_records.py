@@ -144,3 +144,19 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_typing():
+    # annotations are not evaluated, so their names come from collections.abc
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import clutters.cli; "
+        "print('typing' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
