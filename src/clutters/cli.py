@@ -101,8 +101,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help text lets a failed stdout's OSError out, where argparse swallows it."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:  # usage errors, on stderr, keep argparse's handling
+            return super()._print_message(message, file)
+        file.write(message)  # help text: a failure reaches main, which exits 74
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clutters",
         description="Clutter minors, blockers, connectivity, splitter chains, "
         "and exhaustive verification.",
@@ -177,12 +186,12 @@ def _silence_stdout() -> None:
 def main(argv: list | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems and 0 on --help
-        return 64 if exc.code not in (0, None) else 0
-    try:
-        code = args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage problems, 0 on --help
+            code = 64 if exc.code not in (0, None) else 0
+        else:
+            code = args.handler(args)
         sys.stdout.flush()
         return code
     except ParseError as exc:

@@ -121,7 +121,7 @@ class Clutter(_Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ground, self.rows) == (other.ground, other.rows)
+        return self.ground == other.ground and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash((self.ground, self.rows))
@@ -238,20 +238,20 @@ def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:
     return out
 
 
-def _parts(M: Clutter) -> dict:
-    """Each element's part: the connected component of the hypergraph with
-    the elements as vertices and the rows as edges.
+def _parts(vertices: Iterable, edges: Iterable) -> dict:
+    """Each vertex's part: its component in the hypergraph with these vertices
+    and edges (collections of vertices), such as the elements and the rows.
 
-    A row merges the parts it meets; a row inside one part changes nothing
-    and is passed over, which dense clutters make the common case.
+    An edge merges the parts it meets; an edge inside one part changes
+    nothing and is passed over, which dense clutters make the common case.
     """
-    part = {e: frozenset((e,)) for e in M.ground}
-    for row in M.rows:
-        met = {part[e] for e in row}
+    part = {v: frozenset((v,)) for v in vertices}
+    for edge in edges:
+        met = {part[v] for v in edge}
         if len(met) > 1:
             merged = frozenset().union(*met)
-            for e in merged:
-                part[e] = merged
+            for v in merged:
+                part[v] = merged
     return part
 
 
@@ -267,7 +267,7 @@ def find_separation(M: Clutter) -> Separation | None:
     """
     if not M.ground:
         return None
-    part = _parts(M)
+    part = _parts(M.ground, M.rows)
     elems = sorted(M.ground)
     left = part[elems[0]]
     if left == M.ground:
@@ -290,7 +290,7 @@ def is_connected(M: Clutter) -> bool:
     incidence graph disagrees: there the empty row is an isolated white
     vertex beside the black vertex x.
     """
-    return len(set(_parts(M).values())) <= 1
+    return len(set(_parts(M.ground, M.rows).values())) <= 1
 
 
 def canonical_serialize(M: Clutter) -> str:

@@ -102,25 +102,13 @@ def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
 
 
 def components(G: IncidenceGraph) -> list:
-    """Connected components as frozensets of tagged vertices, deterministically
-    ordered by each part's least vertex."""
+    """Connected components as frozensets of tagged vertices, ordered by each
+    part's least vertex: core._parts with one edge per white vertex, made of
+    it and its black neighbours."""
     adjacency = G._neighbours
-    seen = set()
-    parts = []
-    # each start is the least vertex not yet seen, so parts come out in order
-    for start in sorted(adjacency, key=vertex_sort_key):
-        if start in seen:
-            continue
-        part = {start}
-        stack = [start]
-        while stack:
-            for there in adjacency[stack.pop()]:
-                if there not in part:
-                    part.add(there)
-                    stack.append(there)
-        seen |= part
-        parts.append(frozenset(part))
-    return parts
+    stars = (adjacency[(WHITE, w)] | {(WHITE, w)} for w in G.white)
+    part = core._parts(adjacency, stars)
+    return list(dict.fromkeys(part[x] for x in sorted(adjacency, key=vertex_sort_key)))
 
 
 def graph_connected(G: IncidenceGraph) -> bool:

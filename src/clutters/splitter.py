@@ -135,12 +135,14 @@ def chain_to_empty(M: Clutter) -> SplitterChain:
     return chain(M, Clutter(frozenset(), M.rows & {frozenset()}))
 
 
+def _indented(M: Clutter) -> list:
+    """M's canonical text as lines, each indented by two spaces."""
+    return ["  " + line for line in canonical_serialize(M).splitlines()]
+
+
 def format_step(step: SplitterStep) -> str:
     """One step as text: the operation line, then the result indented."""
-    body = "".join(
-        "  " + line + "\n" for line in canonical_serialize(step.result).splitlines()
-    )
-    return f"{step.op} {step.element}\n{body}"
+    return "\n".join([f"{step.op} {step.element}", *_indented(step.result)]) + "\n"
 
 
 def format_chain(chain_value: SplitterChain) -> str:
@@ -156,9 +158,9 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
     flagged).
     """
     out = ["splitter search failed: every candidate fails", "", "M:"]
-    out += ["  " + ln for ln in canonical_serialize(M).splitlines()]
+    out += _indented(M)
     out.append("N:")
-    out += ["  " + ln for ln in canonical_serialize(N).splitlines()]
+    out += _indented(N)
     out.append("")
     out.append("candidates:")
     # listed ascending, delete before contract, whatever order the search used

@@ -334,10 +334,16 @@ class TestExitCodes:
 
 
 class TestFailedStdout:
-    """A valid command whose stdout cannot be written exits 74 with one
-    error line, whether stdout is buffered or not."""
+    """A valid command, or a request for help, whose stdout cannot be
+    written exits 74 with one error line, whether stdout is buffered or not."""
 
-    ARGVS = [["verify", "--n", "4"], ["verify", "--n", "3", "--theorem"], ["show"]]
+    ARGVS = [
+        ["verify", "--n", "4"],
+        ["verify", "--n", "3", "--theorem"],
+        ["show"],
+        ["--help"],
+        ["show", "--help"],
+    ]
 
     def run(self, argv, write, stdout, buffered):
         if argv == ["show"]:

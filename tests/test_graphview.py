@@ -1,9 +1,11 @@
 """Incidence graphs, connectivity transfer, twins, and good components."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clutters import graphview
-from clutters.core import contract, delete, is_connected, new_clutter
+from clutters import core, graphview
+from clutters.core import contract, delete, find_separation, is_connected, new_clutter
 from clutters.enumeration import enumerate_clutters
 from clutters.errors import NoTwin, NotBlack, NotMinimal, VertexNotFound
 from clutters.graphview import (
@@ -103,6 +105,56 @@ def scan_components(G):
         ends = [p for p in parts if (BLACK, v) in p or (WHITE, w) in p]
         parts = [p for p in parts if p not in ends] + [F().union(*ends)]
     return sorted(parts, key=lambda p: vertex_sort_key(min(p, key=vertex_sort_key)))
+
+
+class TestComponentsSampled:
+    """components against the scan_components oracle on larger graphs, and on
+    the graphs derived from them, which have isolated vertices of both colours."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sampled(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
+        row = st.frozensets(st.sampled_from(labels), max_size=5) if labels else st.just(F())
+        drawn = set(data.draw(st.lists(row, max_size=16), label="rows"))
+        rows = [A for A in drawn if not any(B < A for B in drawn)]
+        G = incidence_graph(new_clutter(labels, rows))
+        assert components(G) == scan_components(G)
+        for v in sorted(G.black):
+            derived = delete_closed_neighbourhood(G, v)
+            assert components(derived) == scan_components(derived)
+            try:
+                derived = remove_black_vertex(G, v)
+            except ValueError:  # two whites would merge
+                continue
+            assert components(derived) == scan_components(derived)
+
+
+class TestOneConnectivityRoutine:
+    """Clutter connectivity and incidence-graph connectivity both come from
+    core._parts; graphview has no traversal of its own."""
+
+    ASKS = {
+        "components": lambda: components(incidence_graph(PATH)),
+        "graph_connected": lambda: graph_connected(incidence_graph(PATH)),
+        "good_components": lambda: good_components(incidence_graph(PATH), "1"),
+        "is_connected": lambda: is_connected(PATH),
+        "find_separation": lambda: find_separation(PATH),
+    }
+
+    @pytest.mark.parametrize("name", ASKS)
+    def test_reaches_parts(self, monkeypatch, name):
+        calls = []
+        real = core._parts
+
+        def counted(vertices, edges):
+            calls.append(vertices)
+            return real(vertices, edges)
+
+        monkeypatch.setattr(core, "_parts", counted)
+        self.ASKS[name]()
+        assert calls
 
 
 class TestNeighbourMap:
