@@ -31,16 +31,25 @@ def blocker(M: Clutter) -> Clutter:
     Maintains the minimal transversals of the rows processed so far.  A new
     row A keeps the partial transversals already meeting it and extends each
     other one, t, to t | {a} for every a in A.  Nothing kept is dominated, and
-    no two new candidates dominate each other; t | {a} is dominated exactly
-    when it contains a kept set that holds a.  So the kept sets are indexed
-    by their members of A, and each candidate is tested only against the
-    index entry for its a.
+    no two new candidates dominate each other.  t | {a} meets A only in a, so
+    it is dominated exactly when it contains a kept set that meets A only in
+    a.  One pass over the partial transversals splits off the missed ones and
+    indexes the kept ones that meet A once, by that element, and each
+    candidate is tested only against the index entry for its a.
     """
     partial = {frozenset()}
     for A in sorted(M.rows, key=row_sort_key):
-        missed = [t for t in partial if t.isdisjoint(A)]
-        meeting = partial.difference(missed)
-        holders = {a: [k for k in meeting if a in k] for a in A}
+        missed, meeting = [], set()
+        holders = {a: [] for a in A}  # a -> kept sets k with k & A == {a}
+        for t in partial:
+            hit = t & A
+            if not hit:
+                missed.append(t)
+                continue
+            meeting.add(t)
+            if len(hit) == 1:
+                (a,) = hit
+                holders[a].append(t)
         for t in missed:
             for a in A:
                 c = t | {a}

@@ -102,7 +102,13 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Help text lets a failed stdout's OSError out, where argparse swallows it."""
+    """Help text lets a failed stdout's OSError out, where argparse swallows
+    it, and a usage error never writes to stdout."""
+
+    def error(self, message):
+        if sys.stderr is None:  # argparse would print the usage to stdout instead
+            self.exit(2)
+        super().error(message)
 
     def _print_message(self, message, file=None):
         if file is not sys.stdout:  # usage errors, on stderr, keep argparse's handling
@@ -183,6 +189,18 @@ def _silence_stdout() -> None:
         pass
 
 
+def _diagnose(text: str) -> None:
+    """Write diagnostics to stderr.  A closed or full stderr loses them, but
+    the exit code stays the one documented for the failure."""
+    if sys.stderr is None:  # descriptor 2 was closed when the interpreter started
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def main(argv: list | None = None) -> int:
     parser = build_parser()
     try:
@@ -195,18 +213,17 @@ def main(argv: list | None = None) -> int:
         sys.stdout.flush()
         return code
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}\n")
         return 65
     except TheoremCounterexample as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.stderr.write(splitter.counterexample_report(exc.M, exc.N))
+        _diagnose(f"error: {exc}\n" + splitter.counterexample_report(exc.M, exc.N))
         return 2
     except ClutterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}\n")
         return 2
     except OSError as exc:
         # _load turns read errors into ParseError, so this is stdout failing
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}\n")
         _silence_stdout()
         return 74
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .core import Clutter, MinorSpec, apply_minor, contract, delete
+from .core import Clutter, MinorSpec, apply_minor
 
 _KEEP, _DELETE, _CONTRACT = 0, 1, 2
 
@@ -21,47 +21,70 @@ def _spec_for(elems: list, assignment: tuple) -> MinorSpec:
     return MinorSpec(deletes, contracts)
 
 
-def _traces_cover(C: Clutter, N: Clutter) -> bool:
-    """True iff every row of N is the trace A & E(N) of some row A of C."""
-    missing = set(N.rows)
-    for A in C.rows:
-        missing.discard(A & N.ground)
-        if not missing:
-            return True
-    return not missing
-
-
 def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
     """A witness spec turning M into N, or None.
 
     The removed elements are decided depth-first in ascending label order,
     delete before contract, and the first hit wins: the same witness as a
-    base-2 counter over all 2^k specs, so it is deterministic.  Each tree
-    edge is one deletion or contraction.  A subtree is pruned when some row
-    of N is not the trace A & E(N) of any row A of the current clutter: every
-    row of a minor below is such a trace, and each step down only drops or
-    shrinks rows outside E(N), so the set of traces never grows.
-    M is a minor of itself via the empty spec.
+    base-2 counter over all 2^k specs, so it is deterministic.  M is a minor
+    of itself via the empty spec.
+
+    No clutter is built.  Deleting D and contracting the rest leaves the
+    minimal traces A & E(N) of the rows A that avoid D.  So a spec gives N
+    exactly when (a) every row of N is the trace of a row avoiding D, and
+    (b) every row avoiding D has a trace holding a row of N: N is an
+    antichain, so its rows are then the minimal traces.  A row whose trace
+    holds no row of N is bad, and D must meet it.  Down the tree a deletion
+    can only break (a), and a contraction only (b), for the bad rows it
+    leaves with no removed element undecided; each edge checks just that, so
+    every leaf the walk reaches is a hit.  The first leaf, deleting every
+    removed element, is tried before any row is traced.
     """
     if not N.ground <= M.ground:
         return None
-    removed = sorted(M.ground - N.ground)
-    C, deletes = M, frozenset()
-    untried = []  # (clutter, its deletions) whose contract branch is pending
+    kept, targets = N.ground, N.rows
+    if targets <= M.rows and targets == {A for A in M.rows if A <= kept}:
+        return MinorSpec(M.ground - kept, frozenset())
+    by_trace = {}
+    for A in M.rows:
+        by_trace.setdefault(A & kept, []).append(A)
+    if not targets <= by_trace.keys():
+        return None
+    # a trace no longer than every row of N holds one only by being it
+    shortest = min(map(len, targets), default=0)
+    sources = []  # (row, trace) for the rows of N that a deletion can lose
+    need = 0  # the number of those rows of N
+    bad = []
+    for t, rows in by_trace.items():
+        if t in targets:
+            if t not in M.rows:  # else the row t itself, never deleted, traces it
+                need += 1
+                sources += [(A, t) for A in rows]
+        elif len(t) <= shortest or not any(R <= t for R in targets):
+            if t in M.rows:  # a bad row inside E(N): no deletion meets it
+                return None
+            bad += rows
+    removed = sorted(M.ground - kept)
+    deletes, i, alive = frozenset(), 0, sources  # alive: the sources missing deletes
+    untried = []  # (position, deletions, alive) whose contract branch is pending
     while True:
-        if _traces_cover(C, N):
-            if C.ground == N.ground:
-                if C.rows == N.rows:
-                    return MinorSpec(deletes, frozenset(removed) - deletes)
-            else:
-                v = removed[len(M.ground) - len(C.ground)]
-                untried.append((C, deletes))
-                C, deletes = delete(C, v), deletes | {v}
-                continue
-        if not untried:
+        if i == len(removed):
+            return MinorSpec(deletes, frozenset(removed) - deletes)
+        v = removed[i]
+        untried.append((i, deletes, alive))
+        left = [(A, R) for A, R in alive if v not in A]
+        if len({R for _, R in left}) == need:
+            deletes, i, alive = deletes | {v}, i + 1, left
+            continue
+        while untried:
+            i, deletes, alive = untried.pop()
+            # each bad row must meet a deletion or a still undecided element
+            reach = deletes.union(removed[i + 1 :])
+            if all(not reach.isdisjoint(A) for A in bad):
+                i += 1
+                break
+        else:
             return None
-        C, deletes = untried.pop()
-        C = contract(C, removed[len(M.ground) - len(C.ground)])
 
 
 def is_proper_minor(M: Clutter, N: Clutter) -> bool:

@@ -74,6 +74,18 @@ class TestBothRoutesAgree:
         M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
         assert blocker(M) == blocker_by_enumeration(M)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sampled_wide_rows(self, data):
+        # rows of up to n - 1 elements, so that a partial transversal often
+        # meets a new row twice and is kept without being indexed
+        n = data.draw(st.integers(min_value=6, max_value=12), label="n")
+        labels = [str(i + 1) for i in range(n)]
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=n - 1)
+        drawn = set(data.draw(st.lists(row, min_size=2, max_size=10), label="rows"))
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        assert blocker(M) == blocker_by_enumeration(M)
+
     def test_uniform_closed_form(self):
         # the minimal sets meeting every (r+1)-subset are the (n-r)-subsets
         for n in range(12):

@@ -390,3 +390,44 @@ class TestFailedStdout:
         monkeypatch.setattr(sys, "stdout", Broken())
         assert main(["show", write(PATH_TEXT)]) == 74
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+class TestFailedStderr:
+    """A failure whose diagnostics cannot be written to stderr, because it is
+    closed or full, still exits with its documented code, and stdout stays
+    empty."""
+
+    CASES = {
+        "missing file": (lambda write: ["show", write(PATH_TEXT) + ".absent"], 65),
+        "malformed input": (lambda write: ["show", write("rows 1 2\n")], 65),
+        "counterexample": (
+            lambda write: ["splitter", write(PATH_TEXT), write("elements 3\nrow -\n")],
+            2,
+        ),
+        "domain error": (lambda write: ["delete", write(PATH_TEXT), "-e", "9"], 2),
+        "usage error": (lambda write: ["no-such-command"], 64),
+    }
+
+    def run(self, argv, **stderr):
+        return subprocess.run(
+            [sys.executable, "-m", "clutters.cli", *argv],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+            **stderr,
+        )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_closed(self, write, case):
+        make_argv, code = self.CASES[case]
+        proc = self.run(make_argv(write), preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (code, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("case", CASES)
+    def test_full_device(self, write, case):
+        make_argv, code = self.CASES[case]
+        with open("/dev/full", "w") as full:
+            proc = self.run(make_argv(write), stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, "")

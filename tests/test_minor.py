@@ -2,12 +2,15 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_subsets, naive_clutters, naive_has_minor
+from clutters import core, minor
 from clutters.core import MinorSpec, apply_minor, contract, delete, new_clutter
 from clutters.enumeration import enumerate_clutters
+from clutters.matroid import circuits_clutter, uniform
 from clutters.minor import all_minors, has_minor, is_proper_minor
 
 F = frozenset
@@ -176,3 +179,68 @@ class TestFirstWitness:
         keep = data.draw(subsets_of(sorted(M.ground)), label="keep")
         N = drawn_clutter(data, sorted(keep), 4)
         assert has_minor(M, N) == naive_has_minor(M, N)
+
+
+def miss_candidates(keep):
+    """Clutters on `keep` that no uniform-matroid clutter has as a minor once
+    `keep` has four or more elements (every such minor is uniform): a path of
+    2-rows, and the 3-subsets of `keep` less the first."""
+    path = new_clutter(keep, [keep[i : i + 2] for i in range(len(keep) - 1)])
+    triples = list(itertools.combinations(sorted(keep), 3))
+    return [path, new_clutter(keep, triples[1:])]
+
+
+class TestTraceSearch:
+    """has_minor searches the deletion set over the rows' traces on E(N)."""
+
+    def test_exhaustive_n4(self):
+        # every clutter on {1,2,3,4} against every clutter on every subset
+        targets = [N for sub in all_subsets("1234") for N in naive_clutters(sub)]
+        pairs = 0
+        for M in enumerate_clutters(4):
+            for N in targets:
+                assert has_minor(M, N) == naive_has_minor(M, N), (M, N)
+                pairs += 1
+        assert pairs == 50064
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dense_sampled(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=9), label="n")
+        r = data.draw(st.integers(min_value=0, max_value=n), label="r")
+        labels = data.draw(st.permutations([chr(ord("a") + i) for i in range(12)]))[:n]
+        M = circuits_clutter(uniform(r, n, labels))
+        deletes = data.draw(subsets_of(labels), label="deletes")
+        contracts = data.draw(subsets_of(sorted(M.ground - deletes)), label="contracts")
+        hit = apply_minor(M, MinorSpec(deletes, contracts))
+        keep = data.draw(st.lists(st.sampled_from(labels), unique=True), label="keep")
+        for N in [hit, *miss_candidates(keep)]:
+            witness = has_minor(M, N)
+            assert witness == naive_has_minor(M, N), (M, N)
+            if witness is not None:
+                assert apply_minor(M, witness) == N
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MinorSpec(frozenset("6789A"), frozenset("B")),  # a contraction
+            MinorSpec(frozenset("6789AB"), frozenset()),  # deleting all
+            None,  # a miss
+        ],
+        ids=["hit", "all-delete hit", "miss"],
+    )
+    def test_builds_no_clutter(self, spec, monkeypatch):
+        M = circuits_clutter(uniform(3, 11, "123456789AB"))
+        N = miss_candidates(list("12345"))[0] if spec is None else apply_minor(M, spec)
+        calls = []
+        for name in ("delete", "contract", "apply_minor"):
+
+            def counted(*args, _real=getattr(core, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(core, name, counted)
+            monkeypatch.setattr(minor, name, counted, raising=False)
+        witness = has_minor(M, N)
+        assert calls == []
+        assert witness == spec
