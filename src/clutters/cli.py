@@ -3,12 +3,15 @@
 Batch subcommands over clutter files in the canonical text format.  Results
 go to stdout, diagnostics to stderr; exit codes: 0 success (or 'connected'),
 1 disconnected, 2 domain error, 64 usage error, 65 unreadable or malformed
-input, 74 failed write to stdout (a closed pipe or a full device).
+input, 74 failed write to stdout (a closed pipe, a full device, or a
+descriptor 1 closed at start-up).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import sys
 
@@ -178,6 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdout(io.TextIOBase):
+    """sys.stdout when descriptor 1 was closed at start-up: a write fails as
+    a write to a closed descriptor does, and there is nothing to flush."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def _silence_stdout() -> None:
     """Point file descriptor 1 at the null device, so that the interpreter's
     flush of stdout at exit has nothing left to fail on."""
@@ -202,6 +213,8 @@ def _diagnose(text: str) -> None:
 
 
 def main(argv: list | None = None) -> int:
+    if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+        sys.stdout = _ClosedStdout()
     parser = build_parser()
     try:
         try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from . import core, graphview
+from . import core, graphview, minor
 from .blocker import blocker
 from .core import Clutter, _Record, canonical_serialize
 from .errors import TooLarge
@@ -96,72 +96,73 @@ class VerificationReport(_Record):
         return sum(len(r.counterexamples) for r in self.results)
 
 
-def _connected_minors(C: Clutter, rest: tuple, memo: dict) -> tuple:
-    """The distinct connected minors of C reached by keeping, deleting or
-    contracting each element of the ascending tuple rest.
+def _removals(C: Clutter) -> Iterator[Clutter]:
+    """C\\v and C/v for each element v of C."""
+    for v in C.ground:
+        yield core.delete(C, v)
+        yield core.contract(C, v)
 
-    They come in first-witness order of the base-3 counter over rest with
-    keep < delete < contract, the order of minor.all_minors, with the
-    disconnected minors dropped.  Deletion and contraction commute, so a
-    sub-walk's result depends only on its clutter and the elements still to
-    decide; memo holds each one computed so far, the leaves (C, ()) included,
-    so each clutter's connectivity is decided once per memo.
+
+def _connected_minors(C: Clutter, memo: dict) -> frozenset:
+    """S(C): every connected minor of C, C itself included if it is connected.
+
+    Every proper minor of C is a minor of a single removal, so
+    S(C) = ({C} if C is connected) | the S of each C\\v and C/v.  memo maps
+    each clutter value to its S, so each clutter's S and connectivity are
+    computed once per memo: C is connected iff C is in S(C).
     """
-    found = memo.get((C, rest))
+    found = memo.get(C)
     if found is None:
-        if rest:
-            v, tail = rest[0], rest[1:]
-            found = tuple(
-                dict.fromkeys(
-                    _connected_minors(C, tail, memo)
-                    + _connected_minors(core.delete(C, v), tail, memo)
-                    + _connected_minors(core.contract(C, v), tail, memo)
-                )
-            )
-        else:
-            found = (C,) if core.is_connected(C) else ()
-        memo[(C, rest)] = found
+        found = frozenset().union(*(_connected_minors(R, memo) for R in _removals(C)))
+        if core.is_connected(C):
+            found |= {C}
+        memo[C] = found
     return found
 
 
-def _walk(C: Clutter, memo: dict) -> tuple:
-    """Every distinct connected minor of C, C itself included if connected."""
-    return _connected_minors(C, tuple(sorted(C.ground)), memo)
+def _first_witness(M: Clutter, N: Clutter) -> tuple:
+    """N's first keep/delete/contract assignment (0/1/2) over M's ascending
+    elements, which sorts M's minors in minor.all_minors order: N keeps E(N),
+    and has_minor's witness is the first split of the rest."""
+    deletes = minor.has_minor(M, N).deletes
+    elems = sorted(M.ground)
+    return tuple(0 if e in N.ground else 1 if e in deletes else 2 for e in elems)
 
 
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    return [N for N in _walk(M, {}) if N.ground != M.ground]
+    return sorted(_connected_minors(M, {}) - {M}, key=lambda N: _first_witness(M, N))
 
 
 def verify_theorem(n: int) -> VerificationReport:
     """Check the splitter property on every connected clutter M on exactly n
     labeled elements against each of its connected proper minors N.
 
-    A pair passes iff N is a minor of some single removal M\\v or M/v that
-    stays connected.  M and those removals are walked through one memo that
-    lives for the call, so every sub-walk and every clutter's connectivity
-    is computed once per run.
+    M's connected proper minors are the union of S(R) over its single
+    removals R (see _connected_minors), and a pair passes iff N is in S(R)
+    for a connected R.  So M's failures are that union less the union over
+    the connected R, found with no per-pair test and sorted by first witness.
+    One memo lives for the call and holds S of each clutter on n-1 or fewer
+    elements that occurs.
     """
     memo = {}
-    tested = passed = 0
+    tested = 0
     failures = []
     for M in enumerate_clutters(n):
-        if not _connected_minors(M, (), memo):  # the memoised is_connected(M)
+        if not core.is_connected(M):
             continue
-        reach = set()
-        for v in sorted(M.ground):
-            for R in (core.delete(M, v), core.contract(M, v)):
-                if _connected_minors(R, (), memo):
-                    reach.update(_walk(R, memo))
-        for N in _walk(M, memo):
-            if N.ground == M.ground:
-                continue
-            tested += 1
-            if N in reach:
-                passed += 1
-            else:
-                failures.append(f"M=({_inline(M)})  N=({_inline(N)})")
+        minors, reach = set(), set()
+        for R in _removals(M):
+            found = _connected_minors(R, memo)
+            minors |= found
+            if R in found:
+                reach |= found
+        tested += len(minors)
+        failures += [
+            f"M=({_inline(M)})  N=({_inline(N)})"
+            for N in sorted(minors - reach, key=lambda N: _first_witness(M, N))
+        ]
+    passed = tested - len(failures)
     result = CheckResult(f"theorem n={n}", tested, passed, tuple(failures))
     return VerificationReport((result,))
 

@@ -63,29 +63,34 @@ def candidate_elements(M: Clutter, N: Clutter) -> list:
     )
 
 
+def _problems(result: Clutter, N: Clutter):
+    """What result lacks as a splitter step towards N, lazily: "result
+    disconnected", then "target not a minor of result"."""
+    if not core.is_connected(result):
+        yield "result disconnected"
+    if minor.has_minor(result, N) is None:
+        yield "target not a minor of result"
+
+
 def _attempts(M: Clutter, N: Clutter):
     """Every candidate removal from M towards N, in search order.
 
     Yields (element, op, result, problems) for each element of
-    candidate_elements, delete before contract.  problems names what the
-    result lacks ("result disconnected", then "target not a minor of
-    result"); an empty list marks a splitter step.
+    candidate_elements, delete before contract.  problems is _problems'
+    iterator: the report reads it whole, a step search only up to the first
+    problem, so a disconnected result gets no minor test.  An empty one
+    marks a splitter step.
     """
     for v in candidate_elements(M, N):
         for op in (DELETE, CONTRACT):
             result = _apply(M, v, op)
-            problems = []
-            if not core.is_connected(result):
-                problems.append("result disconnected")
-            if minor.has_minor(result, N) is None:
-                problems.append("target not a minor of result")
-            yield v, op, result, problems
+            yield v, op, result, _problems(result, N)
 
 
 def _step(M: Clutter, N: Clutter) -> SplitterStep:
     """The first splitter step from M towards N; preconditions are the caller's."""
     for v, op, result, problems in _attempts(M, N):
-        if not problems:
+        if next(problems, None) is None:
             return SplitterStep(v, op, result)
     raise TheoremCounterexample(
         "no single-element removal preserves connectivity and the minor", M, N

@@ -335,7 +335,8 @@ class TestExitCodes:
 
 class TestFailedStdout:
     """A valid command, or a request for help, whose stdout cannot be
-    written exits 74 with one error line, whether stdout is buffered or not."""
+    written exits 74 with one error line, whether stdout is buffered or not,
+    and also when descriptor 1 was closed before the interpreter started."""
 
     ARGVS = [
         ["verify", "--n", "4"],
@@ -345,7 +346,10 @@ class TestFailedStdout:
         ["show", "--help"],
     ]
 
-    def run(self, argv, write, stdout, buffered):
+    # runs the command with descriptor 1 closed before the interpreter starts
+    CLOSE_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
+
+    def run(self, argv, write, stdout, buffered, prefix=()):
         if argv == ["show"]:
             argv = argv + [write(PATH_TEXT)]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -353,7 +357,7 @@ class TestFailedStdout:
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
-            [sys.executable, "-m", "clutters.cli", *argv],
+            [*prefix, sys.executable, "-m", "clutters.cli", *argv],
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
@@ -381,6 +385,20 @@ class TestFailedStdout:
             proc = self.run(argv, write, full, buffered)
         assert proc.returncode == 74
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_descriptor_closed_at_start(self, write, argv, buffered):
+        proc = self.run(argv, write, None, buffered, self.CLOSE_STDOUT)
+        assert proc.returncode == 74
+        assert proc.stderr == "error: [Errno 9] Bad file descriptor\n"
+
+    @pytest.mark.parametrize(
+        "text,code", [("elements 1 2\nrow 1 2\n", 0), ("elements 1 2\nrow 1\nrow 2\n", 1)]
+    )
+    def test_connected_with_descriptor_closed_at_start(self, write, text, code):
+        proc = self.run(["connected", write(text)], write, None, True, self.CLOSE_STDOUT)
+        assert (proc.returncode, proc.stderr) == (code, "")
 
     def test_in_process_stdout_without_descriptor(self, write, monkeypatch, capsys):
         class Broken(io.StringIO):

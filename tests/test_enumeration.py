@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import naive_clutters, naive_identity_report, predicted_counterexamples
-from clutters import core, enumeration, graphview
+from clutters import core, enumeration, graphview, minor
 from clutters.blocker import blocker
 from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
@@ -280,14 +280,20 @@ class TestVerifyTheorem:
         assert connected_proper_minors(M) == first_witness_order(M)
 
     def test_shared_memo_does_not_leak_between_clutters(self):
-        # one memo across every connected M at n<=4, walked forwards and then
-        # again backwards once it holds every other clutter's sub-walks
+        # one memo across every clutter at n<=4, connected or not, walked
+        # forwards and then again backwards once it holds every other S(C)
         memo = {}
-        clutters = [M for n in range(5) for M in enumerate_connected(n)]
-        for M in clutters + clutters[::-1]:
-            walk = _connected_minors(M, tuple(sorted(M.ground)), memo)
-            assert walk[0] == M
-            assert [N for N in walk if N.ground != M.ground] == connected_proper_minors(M)
+        clutters = [C for n in range(5) for C in enumerate_clutters(n)]
+        oracle = {C: {N for _, N in all_minors(C) if is_connected(N)} for C in clutters}
+        for C in clutters + clutters[::-1]:
+            assert _connected_minors(C, memo) == oracle[C]
+
+    @pytest.mark.parametrize("n,calls", [(3, 9), (4, 16)])
+    def test_has_minor_called_once_per_counterexample(self, n, calls, monkeypatch):
+        counted, real = [], minor.has_minor
+        monkeypatch.setattr(minor, "has_minor", lambda M, N: counted.append(N) or real(M, N))
+        (result,) = verify_theorem(n).results
+        assert len(counted) == len(result.counterexamples) == calls
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])
@@ -308,6 +314,24 @@ class TestKnownCounterexamples:
         }
         assert len(predicted) == n * n
         assert set(result.counterexamples) == predicted
+
+    @pytest.mark.parametrize("n,failures", [(0, 0), (1, 0), (2, 0), (3, 9), (4, 300)])
+    def test_chain_form_fails_exactly_on_targets_x_empty_row(self, n, failures):
+        def reach(M):
+            # Reach(M) = {M} | the Reach of each connected single removal of M
+            if M not in memo:
+                removals = [core.delete(M, v) for v in M.ground]
+                removals += [core.contract(M, v) for v in M.ground]
+                memo[M] = {M}.union(*(reach(R) for R in removals if is_connected(R)))
+            return memo[M]
+
+        memo = {}
+        missed = 0
+        for M, N in independent_pairs(n):
+            chained = N in reach(M)
+            assert chained != (len(N.ground) == 1 and N.rows == {F()}), (M, N)
+            missed += not chained
+        assert missed == failures
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_every_predicted_pair_fails_over_its_single_removals(self, n):

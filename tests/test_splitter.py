@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutters import graphview
+from clutters import graphview, minor
 from clutters.core import (
     MinorSpec,
     apply_minor,
@@ -369,6 +369,22 @@ class TestNoIncidenceGraph:
         report = counterexample_report(M, new_clutter("c", [[]]))
         assert "minimal black vertices: a c" in report
         assert calls == [M]
+
+
+class TestStepWork:
+    def test_disconnected_candidate_gets_no_minor_test(self, monkeypatch):
+        calls, real = [], minor.has_minor
+        monkeypatch.setattr(minor, "has_minor", lambda M, N: calls.append(M) or real(M, N))
+        M, N = C("123", "123"), C("12", "12")
+        step = find_splitter(M, N)
+        assert (step.element, step.op) == ("3", "contract")
+        # the precondition, then M/3: the first candidate M\3 = ({1 2}; -) is
+        # disconnected, so the search asks nothing more about it
+        assert calls == [M, contract(M, "3")]
+        calls.clear()
+        report = counterexample_report(M, N)
+        assert "delete 3: result disconnected; target not a minor of result" in report
+        assert delete(M, "3") in calls
 
 
 # sha256 values taken from the implementation that ranked candidates with
