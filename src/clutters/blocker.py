@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .core import Clutter, row_sort_key
+from .core import Clutter
 from .errors import ForeignElement, TooLarge
 
 
@@ -23,6 +23,27 @@ def is_transversal(M: Clutter, S: Iterable[str]) -> bool:
         stray = sorted(S - M.ground)
         raise ForeignElement(f"not ground elements: {' '.join(stray)}")
     return all(S & A for A in M.rows)
+
+
+def _encode(M: Clutter) -> tuple[dict, list]:
+    """The call's bit encoding of M: a map from each element a to its bit and
+    the singleton {a}, and M's rows as (mask, row) pairs in `row_sort_key`
+    order.
+
+    The least label takes the highest bit, so among rows of one size
+    ascending member labels are descending masks: a stable sort by size
+    after a descending sort of the masks gives the canonical row order.
+    """
+    code = {a: (1 << i, {a}) for i, a in enumerate(sorted(M.ground, reverse=True))}
+    rows = {}
+    for A in M.rows:
+        mask = 0
+        for a in A:
+            mask |= code[a][0]
+        rows[mask] = A
+    order = sorted(rows, reverse=True)
+    order.sort(key=int.bit_count)
+    return code, [(mask, rows[mask]) for mask in order]
 
 
 def blocker(M: Clutter) -> Clutter:
@@ -36,27 +57,45 @@ def blocker(M: Clutter) -> Clutter:
     a.  One pass over the partial transversals splits off the missed ones and
     indexes the kept ones that meet A once, by that element, and each
     candidate is tested only against the index entry for its a.
+
+    Every test runs on integer masks private to the call (`_encode`): a
+    meet is `&`, a single hit is a mask with one bit, and containment is
+    `k & c == k`.  Each partial transversal carries its row beside its mask,
+    and a candidate's row is built as t | {a} on the rows, so the rows
+    returned are the frozensets Berge's loop builds without masks and
+    nothing is decoded at the end.
     """
-    partial = {frozenset()}
-    for A in sorted(M.rows, key=row_sort_key):
-        missed, meeting = [], set()
-        holders = {a: [] for a in A}  # a -> kept sets k with k & A == {a}
-        for t in partial:
-            hit = t & A
+    code, rows = _encode(M)
+    partial = {0: frozenset()}  # mask -> row
+    for mask, A in rows:
+        holders = {}  # bit of a -> kept masks k with k & mask == that bit
+        extend = []
+        for a in A:
+            bit, single = code[a]
+            held = holders[bit] = []
+            extend.append((bit, single, held))
+        missed, meeting = [], {}
+        for t, row in partial.items():
+            hit = t & mask
             if not hit:
-                missed.append(t)
+                missed.append((t, row))
                 continue
-            meeting.add(t)
-            if len(hit) == 1:
-                (a,) = hit
-                holders[a].append(t)
-        for t in missed:
-            for a in A:
-                c = t | {a}
-                if not any(k <= c for k in holders[a]):
-                    meeting.add(c)
+            meeting[t] = row
+            if not hit & (hit - 1):
+                holders[hit].append(t)
+        for t, row in missed:
+            for bit, single, held in extend:
+                c = t | bit
+                for k in held:
+                    if k & c == k:
+                        break
+                else:
+                    meeting[c] = row | single
         partial = meeting
-    return Clutter(M.ground, frozenset(partial))
+    # frozenset() of a set sizes its table once, for the set's size; grown
+    # row by row from the values, a table of 5 to 7 rows is twice as large,
+    # and hashing and comparing the clutter scan the whole table
+    return Clutter(M.ground, frozenset(set(partial.values())))
 
 
 def blocker_by_enumeration(M: Clutter) -> Clutter:

@@ -10,7 +10,7 @@ import itertools
 
 from clutters import core, graphview
 from clutters.blocker import blocker
-from clutters.core import Clutter, MinorSpec, Separation, apply_minor
+from clutters.core import Clutter, MinorSpec, Separation, apply_minor, row_sort_key
 from clutters.enumeration import (
     CheckResult,
     VerificationReport,
@@ -65,6 +65,36 @@ def predicted_counterexamples(n):
             rows = [[c, a] for a in rest if a != x] + [rest]
             pairs.append((core.new_clutter(ground, rows), core.new_clutter([x], [[]])))
     return pairs
+
+
+def frozenset_blocker(M):
+    """The blocker by Berge's row-by-row loop with every test on frozensets:
+    the algorithm of `blocker` without its bit encoding.  An oracle for
+    grounds above the 20 elements that `blocker_by_enumeration` covers.
+
+    For each row A in canonical order, the partial transversals meeting A
+    are kept, and each missed one t is extended to t | {a} for every a in A
+    unless that contains a kept set meeting A in a alone."""
+    partial = {F()}
+    for A in sorted(M.rows, key=row_sort_key):
+        missed, meeting = [], set()
+        holders = {a: [] for a in A}  # a -> kept sets k with k & A == {a}
+        for t in partial:
+            hit = t & A
+            if not hit:
+                missed.append(t)
+                continue
+            meeting.add(t)
+            if len(hit) == 1:
+                (a,) = hit
+                holders[a].append(t)
+        for t in missed:
+            for a in A:
+                c = t | {a}
+                if not any(k <= c for k in holders[a]):
+                    meeting.add(c)
+        partial = meeting
+    return Clutter(M.ground, F(partial))
 
 
 def naive_separation(M):

@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutters.blocker import blocker, blocker_by_enumeration, is_transversal
-from clutters.core import contract, delete, new_clutter
+from clutters.blocker import _encode, blocker, blocker_by_enumeration, is_transversal
+from clutters.core import Clutter, contract, delete, new_clutter, row_sort_key
 from clutters.enumeration import enumerate_clutters
 from clutters.errors import ForeignElement
 from clutters.matroid import circuits_clutter, uniform
+from helpers import frozenset_blocker
 
 F = frozenset
 
 
 def C(ground, *rows):
     return new_clutter(ground, rows)
+
+
+def antichain(rows):
+    """The inclusion-minimal sets among rows."""
+    rows = set(rows)
+    return [A for A in rows if not any(B < A for B in rows)]
 
 
 class TestIsTransversal:
@@ -70,8 +77,8 @@ class TestBothRoutesAgree:
         n = data.draw(st.integers(min_value=6, max_value=12), label="n")
         labels = [str(i + 1) for i in range(n)]  # "10" sorts before "2"
         row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=5)
-        drawn = set(data.draw(st.lists(row, min_size=4, max_size=16), label="rows"))
-        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        drawn = data.draw(st.lists(row, min_size=4, max_size=16), label="rows")
+        M = new_clutter(labels, antichain(drawn))
         assert blocker(M) == blocker_by_enumeration(M)
 
     @settings(max_examples=100, deadline=None)
@@ -82,9 +89,26 @@ class TestBothRoutesAgree:
         n = data.draw(st.integers(min_value=6, max_value=12), label="n")
         labels = [str(i + 1) for i in range(n)]
         row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=n - 1)
-        drawn = set(data.draw(st.lists(row, min_size=2, max_size=10), label="rows"))
-        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        drawn = data.draw(st.lists(row, min_size=2, max_size=10), label="rows")
+        M = new_clutter(labels, antichain(drawn))
         assert blocker(M) == blocker_by_enumeration(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sampled_above_enumeration_limit(self, data):
+        # blocker_by_enumeration stops at 20 elements; at most 8 rows of at
+        # most 3 elements keep the blocker within 3^8 rows
+        n = data.draw(st.integers(min_value=21, max_value=40), label="n")
+        labels = [str(i + 1) for i in range(n)]
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=3)
+        drawn = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+        M = new_clutter(labels, antichain(drawn))
+        assert blocker(M) == frozenset_blocker(M)
+
+    def test_frozenset_oracle_exhaustive_small(self):
+        for n in range(5):
+            for M in enumerate_clutters(n):
+                assert frozenset_blocker(M) == blocker_by_enumeration(M)
 
     def test_uniform_closed_form(self):
         # the minimal sets meeting every (r+1)-subset are the (n-r)-subsets
@@ -93,6 +117,76 @@ class TestBothRoutesAgree:
                 U = circuits_clutter(uniform(r, n))
                 expected = C(U.ground, *itertools.combinations(sorted(U.ground), n - r))
                 assert blocker(U) == expected
+
+
+class TestEncoding:
+    """Grounds wider than a machine word, and labels whose order, insertion
+    order and bit order all differ."""
+
+    def test_uniform_rank_one_above_64_elements(self):
+        # the minimal sets meeting every pair are the (n-1)-subsets
+        for n in range(65, 71):
+            U = circuits_clutter(uniform(1, n))
+            expected = C(U.ground, *itertools.combinations(sorted(U.ground), n - 1))
+            assert blocker(U) == expected
+
+    def test_disjoint_pairs_among_isolated_elements(self):
+        # one element from each of k disjoint pairs: 2^k rows
+        isolated = [f"z{i}" for i in range(65)]
+        for k in range(7):
+            pairs = [(f"p{i}", f"q{i}") for i in range(k)]
+            ground = isolated + [e for pair in pairs for e in pair]
+            b = blocker(C(ground, *pairs))
+            assert len(b.rows) == 2**k
+            assert b == C(ground, *itertools.product(*pairs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabeling_commutes(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+        labels = [str(i + 1) for i in range(n)]
+        row = st.frozensets(st.sampled_from(labels), max_size=n) if n else st.just(F())
+        drawn = data.draw(st.lists(row, max_size=10), label="rows")
+        M = new_clutter(labels, antichain(drawn))
+        names = st.text(alphabet="ab019xZ", min_size=2, max_size=4)
+        image = data.draw(st.lists(names, min_size=n, max_size=n, unique=True), label="image")
+        rename = dict(zip(labels, image))
+        order = data.draw(st.permutations(labels), label="order")  # insertion order
+
+        def relabel(K):
+            ground = F(rename[e] for e in order if e in K.ground)
+            rows = (F(rename[e] for e in order if e in A) for A in K.rows)
+            return Clutter(ground, F(rows))
+
+        assert blocker(relabel(M)) == relabel(blocker(M))
+
+
+class TestRowOrder:
+    """`_encode` lists the rows in `row_sort_key` order.  The order changes
+    only speed, not the blocker: it keeps Berge's intermediate family small."""
+
+    def test_exhaustive_small(self):
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                _, rows = _encode(M)
+                assert [A for _, A in rows] == sorted(M.rows, key=row_sort_key)
+
+    def test_numeric_labels_sort_as_text(self):
+        # "10" < "11" < "9" as text, so {10, 11} comes before {10, 9}
+        M = C(["9", "10", "11", "2", "1"], ["9", "10"], ["10", "11"], ["2"], ["1", "9"])
+        _, rows = _encode(M)
+        assert [A for _, A in rows] == [F({"2"}), F({"1", "9"}), F({"10", "11"}), F({"10", "9"})]
+        assert [A for _, A in rows] == sorted(M.rows, key=row_sort_key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampled(self, data):
+        n = data.draw(st.integers(min_value=6, max_value=70), label="n")
+        labels = [str(i + 1) for i in range(n)]
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=6)
+        M = new_clutter(labels, antichain(data.draw(st.lists(row, max_size=20), label="rows")))
+        _, rows = _encode(M)
+        assert [A for _, A in rows] == sorted(M.rows, key=row_sort_key)
 
 
 class TestInvolution:
