@@ -59,28 +59,13 @@ class _Record(metaclass=_RecordType):
     """
 
     def __init__(self, *args, **kwargs):
+        if kwargs:  # the keyword fields, in field order after the positional ones
+            args += tuple(kwargs.pop(f) for f in self._fields[len(args) :] if f in kwargs)
         if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+            fields = ", ".join(self._fields)
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values given by position and keyword, in field order."""
-        if len(args) > len(cls._fields):
-            raise TypeError(
-                f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}"
-            )
-        values = list(args)
-        for field in cls._fields[len(args) :]:
-            if field not in kwargs:
-                raise TypeError(f"{cls.__name__} is missing field {field!r}")
-            values.append(kwargs.pop(field))
-        if kwargs:
-            raise TypeError(
-                f"{cls.__name__} got unexpected or repeated fields: {', '.join(kwargs)}"
-            )
-        return tuple(values)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -131,7 +116,7 @@ class Clutter(_Record):
         rs = ", ".join(
             "{" + " ".join(sorted(r)) + "}" for r in sorted(self.rows, key=row_sort_key)
         )
-        return f"Clutter([{g}] {rs})"
+        return f"Clutter([{g}] {rs})" if rs else f"Clutter([{g}])"
 
 
 _set_ground, _set_rows = Clutter._setters

@@ -10,6 +10,7 @@ reports; counterexamples are report content, not errors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 
@@ -109,7 +110,9 @@ def _connected_minors(C: Clutter, memo: dict) -> frozenset:
     Every proper minor of C is a minor of a single removal, so
     S(C) = ({C} if C is connected) | the S of each C\\v and C/v.  memo maps
     each clutter value to its S, so each clutter's S and connectivity are
-    computed once per memo: C is connected iff C is in S(C).
+    computed once per memo: C is connected iff C is in S(C).  memo is a plain
+    dict because a recursive closure under functools.cache is a reference
+    cycle, which only the cycle collector frees.
     """
     found = memo.get(C)
     if found is None:
@@ -196,20 +199,21 @@ def verify_identities(n: int) -> VerificationReport:
     One pass over enumerate_clutters(n).  Each family takes its cases in
     (M, v[, v']) order from values computed once per run, and keeps its own
     tally.  Every single removal M\\v or M/v is one of the clutters on the
-    n-1 elements left, and each of those is the removal of many M.  So one
-    memo that lives for the call, keyed by primitive and clutter value,
-    holds the blocker of every M and, for each clutter on n-1 elements that
+    n-1 elements left, and each of those is the removal of many M.  So two
+    functools.cache wrappers that live for the call, keyed by clutter value,
+    hold the blocker of every M and, for each clutter on n-1 elements that
     occurs, its removals, its blocker and its incidence graph.  M's own
     removals and graph and the removals of its blocker serve that M alone;
     they are computed directly and dropped once M is done, which keeps the
-    memo to one blocker per M plus the clutters on n-1 elements.
+    caches to one blocker per M plus the clutters on n-1 elements; no
+    reference cycle holds them, so they are freed when the call returns.
     """
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
     delete, contract, graph = core.delete, core.contract, graphview.incidence_graph
     tested = dict.fromkeys(_FAMILIES, 0)
     failures = {name: [] for name in _FAMILIES}
-    memo = {}
+    blocker_of = functools.cache(blocker)
 
     def record(name: str, holds: bool, M: Clutter, *where: str) -> None:
         tested[name] += 1
@@ -217,13 +221,7 @@ def verify_identities(n: int) -> VerificationReport:
             marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
             failures[name].append(f"M=({_inline(M)}){marks}")
 
-    def once(primitive, C: Clutter):
-        """primitive(C), computed once per run for each clutter value C."""
-        value = memo.get((primitive, C))
-        if value is None:
-            value = memo[primitive, C] = primitive(C)
-        return value
-
+    @functools.cache
     def removal(R: Clutter) -> _Removal:
         return _Removal(
             {w: delete(R, w) for w in R.ground},
@@ -236,9 +234,9 @@ def verify_identities(n: int) -> VerificationReport:
         elems = sorted(M.ground)
         deleted = {v: delete(M, v) for v in elems}
         contracted = {v: contract(M, v) for v in elems}
-        b, G = once(blocker, M), graph(M)
-        D = {v: once(removal, R) for v, R in deleted.items()}
-        C = {v: once(removal, R) for v, R in contracted.items()}
+        b, G = blocker_of(M), graph(M)
+        D = {v: removal(R) for v, R in deleted.items()}
+        C = {v: removal(R) for v, R in contracted.items()}
         for v, w in itertools.permutations(elems, 2):
             # M\v\w = M\w\v, M/v/w = M/w/v and M\v/w = M/w\v
             holds = (
@@ -247,7 +245,7 @@ def verify_identities(n: int) -> VerificationReport:
                 and D[v].contracted[w] == C[w].deleted[v]
             )
             record("deletion-contraction-commutativity", holds, M, v, w)
-        record("blocker-involution", once(blocker, b) == M, M)
+        record("blocker-involution", blocker_of(b) == M, M)
         for v in elems:
             # blocker(M\v) = b/v and blocker(M/v) = b\v
             holds = D[v].blocker == contract(b, v) and C[v].blocker == delete(b, v)

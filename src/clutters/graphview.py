@@ -88,16 +88,9 @@ def vertex_sort_key(vertex: Vertex) -> tuple:
 
 def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
     """Open and closed neighbourhoods of a tagged vertex."""
-    kind, name = vertex
-    if kind == BLACK:
-        if name not in G.black:
-            raise VertexNotFound(f"no black vertex {name!r}")
-    elif kind == WHITE:
-        if name not in G.white:
-            raise VertexNotFound(f"no white vertex {name!r}")
-    else:
-        raise VertexNotFound(f"bad vertex tag {kind!r}")
-    open_ = G._neighbours[(kind, name)]
+    open_ = G._neighbours.get(vertex)
+    if open_ is None:
+        raise VertexNotFound(f"no vertex {vertex!r}")
     return Neighbourhood(vertex, open_, open_ | {vertex})
 
 
@@ -182,9 +175,7 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
     and contracting a twin of a connected clutter keeps it connected; the
     twin-contraction identity family checks both.
     """
-    G = incidence_graph(M)
-    _require_black(G, v)
-    if not twins(G, v):
+    if not twins(incidence_graph(M), v):
         raise NoTwin(f"element {v!r} has no twin")
     return core.contract(M, v)
 

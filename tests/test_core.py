@@ -1,12 +1,14 @@
 """Clutter construction, minors, separations, and the text format."""
 
 import itertools
+import types
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_contract, naive_separation
+import clutters
 from clutters import core
 from clutters.core import (
     Clutter,
@@ -348,3 +350,12 @@ class TestSerialization:
     def test_parse_validates(self):
         with pytest.raises(AntichainViolation):
             parse_clutter("elements 1 2\nrow 1\nrow 1 2\n")
+
+
+def test_package_all_lists_every_public_name():
+    public = {
+        name
+        for name, value in vars(clutters).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(clutters.__all__) == public

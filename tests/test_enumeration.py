@@ -1,6 +1,7 @@
 """Exhaustive enumeration counts and the verification harness."""
 
 import functools
+import gc
 import hashlib
 import tracemalloc
 
@@ -437,3 +438,18 @@ class TestVerifyIdentities:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             verify_identities(5)
+
+
+@pytest.mark.parametrize("verify", [verify_identities, verify_theorem], ids=["identities", "theorem"])
+def test_run_memos_freed_without_cycle_collector(verify):
+    # a memo caught in a reference cycle outlives the run until gc collects it
+    verify(4)  # any lazily built module state is not the run's
+    gc.disable()
+    tracemalloc.start()
+    try:
+        verify(4)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < peak / 4

@@ -227,6 +227,15 @@ class TestNeighbourhood:
         with pytest.raises(VertexNotFound):
             neighbourhood(incidence_graph(PATH), (BLACK, "9"))
 
+    @pytest.mark.parametrize(
+        "vertex",
+        [("grey", "2"), (BLACK, "r:1,2"), (WHITE, "2"), (BLACK, "1", "x")],
+        ids=["wrong-tag", "white-name-as-black", "black-name-as-white", "not-a-pair"],
+    )
+    def test_malformed_vertex(self, vertex):
+        with pytest.raises(VertexNotFound):
+            neighbourhood(incidence_graph(PATH), vertex)
+
 
 class TestDeleteClosedNeighbourhood:
     def test_cut_vertex(self):

@@ -89,10 +89,23 @@ def test_value_contract(cls, fields, text):
     values = tuple(fields.values())
     x = cls(*values)
     assert x == cls(**fields)
+    assert x == cls(**dict(reversed(fields.items())))
+    names = tuple(fields)
     with pytest.raises(TypeError):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, values[0])
+    with pytest.raises(TypeError):  # the first field by position and by keyword
+        cls(values[0], **fields)
+    if len(names) > 1:  # ... and the last missing, so the count of values fits
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+    for i in range(len(names) - 1):
+        # field i missing, the earlier ones by position, the later by keyword
+        with pytest.raises(TypeError):
+            cls(*values[:i], **dict(zip(names[i + 1 :], values[i + 1 :])))
     assert tuple(getattr(x, name) for name in fields) == values
     # equal only to a value of the same class: not to another class built
     # from the same fields (Clutter and CircuitMatroid, MinorSpec and
@@ -119,6 +132,17 @@ def test_pickle_and_copy_round_trip(cls, fields, text):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is cls
         assert y == x and hash(y) == hash(x) and repr(y) == text
+
+
+@pytest.mark.parametrize(
+    "ground,rows,text",
+    [
+        (F({"a"}), F(), "Clutter([a])"),
+        (F(), F(), "Clutter([])"),
+    ],
+)
+def test_clutter_repr_without_rows(ground, rows, text):
+    assert repr(Clutter(ground, rows)) == text
 
 
 def test_graph_with_cached_maps_round_trips():
