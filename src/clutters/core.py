@@ -193,15 +193,25 @@ def contract(M: Clutter, v: str) -> Clutter:
     The stripped rows (those that held v) form an antichain, and so do the
     untouched ones.  A stripped row A - {v} never contains an untouched row,
     which would then lie inside the row A.  So the only rows to drop are the
-    untouched ones that contain a stripped row.
+    untouched ones that contain a stripped row.  When no row holds v the
+    result shares M's rows object, whose hash is already cached.
     """
     if v not in M.ground:
         raise ElementNotFound(f"no element {v!r}")
-    stripped = frozenset(A - {v} for A in M.rows if v in A)
-    kept = frozenset(
-        A for A in M.rows if v not in A and not any(S <= A for S in stripped)
-    )
-    return Clutter(M.ground - {v}, stripped | kept)
+    vs = frozenset((v,))
+    ground = M.ground - vs
+    stripped = [A - vs for A in M.rows if v in A]
+    if not stripped:
+        return Clutter(ground, M.rows)
+    rows = set(stripped)
+    for A in M.rows:
+        if v not in A:
+            for S in stripped:
+                if S <= A:
+                    break
+            else:
+                rows.add(A)
+    return Clutter(ground, frozenset(rows))
 
 
 def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:
@@ -229,14 +239,19 @@ def _parts(vertices: Iterable, edges: Iterable) -> dict:
 
     An edge merges the parts it meets; an edge inside one part changes
     nothing and is passed over, which dense clutters make the common case.
+    Once a merge leaves one part holding every vertex the map is final, and
+    the remaining edges are not read.
     """
     part = {v: frozenset((v,)) for v in vertices}
+    whole = len(part)
     for edge in edges:
         met = {part[v] for v in edge}
         if len(met) > 1:
             merged = frozenset().union(*met)
             for v in merged:
                 part[v] = merged
+            if len(merged) == whole:
+                break
     return part
 
 

@@ -29,7 +29,13 @@ def _ground_labels(n: int) -> list:
 
 
 def enumerate_clutters(n: int) -> Iterator[Clutter]:
-    """Every clutter on ground {'1'..str(n)}, exactly once, deterministically."""
+    """Every clutter on ground {'1'..str(n)}, exactly once, deterministically.
+
+    The subsets are indexed in row_sort_key order, so a subset never lies
+    inside a later one.  above[i] holds the later indices whose subsets
+    contain subset i, and a growing antichain carries the union of above[i]
+    over its chosen i: the indices it may no longer take.
+    """
     labels = _ground_labels(n)
     ground = frozenset(labels)
     subsets = sorted(
@@ -40,16 +46,19 @@ def enumerate_clutters(n: int) -> Iterator[Clutter]:
         ),
         key=core.row_sort_key,
     )
+    count = len(subsets)
+    above = [
+        frozenset(j for j in range(i + 1, count) if s <= subsets[j])
+        for i, s in enumerate(subsets)
+    ]
 
-    def grow(start: int, chosen: list) -> Iterator[Clutter]:
+    def grow(start: int, chosen: list, barred: frozenset) -> Iterator[Clutter]:
         yield Clutter(ground, frozenset(chosen))
-        for i in range(start, len(subsets)):
-            s = subsets[i]
-            # subsets come in row_sort_key order, so s never lies inside an earlier t
-            if not any(t <= s for t in chosen):
-                yield from grow(i + 1, chosen + [s])
+        for i in range(start, count):
+            if i not in barred:
+                yield from grow(i + 1, chosen + [subsets[i]], barred | above[i])
 
-    yield from grow(0, [])
+    yield from grow(0, [], frozenset())
 
 
 def enumerate_connected(n: int) -> Iterator[Clutter]:

@@ -87,10 +87,15 @@ def vertex_sort_key(vertex: Vertex) -> tuple:
 
 
 def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
-    """Open and closed neighbourhoods of a tagged vertex."""
-    open_ = G._neighbours.get(vertex)
-    if open_ is None:
-        raise VertexNotFound(f"no vertex {vertex!r}")
+    """Open and closed neighbourhoods of a tagged vertex.
+
+    Raises VertexNotFound for anything that is not a vertex of G, unhashable
+    values such as a list included.
+    """
+    try:
+        open_ = G._neighbours[vertex]
+    except (KeyError, TypeError):
+        raise VertexNotFound(f"no vertex {vertex!r}") from None
     return Neighbourhood(vertex, open_, open_ | {vertex})
 
 

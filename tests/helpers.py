@@ -48,6 +48,25 @@ def naive_clutters(ground):
         yield Clutter(ground, family)
 
 
+def naive_enumerate_clutters(n):
+    """enumerate_clutters(n) the slow way: canonical growth over the subsets
+    in row_sort_key order, each candidate tested against every chosen subset.
+    No subset lies inside an earlier one, so only a chosen subset inside the
+    candidate bars it."""
+    labels = [str(i + 1) for i in range(n)]
+    ground = F(labels)
+    subsets = sorted(all_subsets(labels), key=row_sort_key)
+
+    def grow(start, chosen):
+        yield Clutter(ground, F(chosen))
+        for i in range(start, len(subsets)):
+            s = subsets[i]
+            if not any(t <= s for t in chosen):
+                yield from grow(i + 1, chosen + [s])
+
+    yield from grow(0, [])
+
+
 def predicted_counterexamples(n):
     """The closed-form family of splitter-property failures on the ground
     '1'..str(n), n >= 3, as (M, N) pairs.
@@ -113,6 +132,11 @@ def naive_separation(M):
         if all(A <= left or A <= right for A in M.rows):
             return Separation(left, right)
     return None
+
+
+def naive_delete(M, v):
+    """Drop v from the ground and keep the rows that avoid it."""
+    return Clutter(M.ground - {v}, F(A for A in M.rows if v not in A))
 
 
 def naive_contract(M, v):

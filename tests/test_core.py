@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_contract, naive_separation
+from helpers import naive_contract, naive_delete, naive_separation
 import clutters
 from clutters import core
 from clutters.core import (
@@ -100,6 +100,42 @@ class TestDelete:
     def test_missing_element(self):
         with pytest.raises(ElementNotFound):
             delete(C("1"), "2")
+
+    def test_matches_row_filter_exhaustive(self):
+        checked = 0
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                for v in M.ground:
+                    assert delete(M, v) == naive_delete(M, v), (M, v)
+                checked += 1
+        assert checked == 7780
+
+
+class TestContractCases:
+    """contract over every clutter on n <= 5 and every element v."""
+
+    @staticmethod
+    def cases():
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                for v in sorted(M.ground):
+                    yield M, v
+
+    def test_element_in_no_row_shares_the_rows(self):
+        checked = 0
+        for M, v in self.cases():
+            if not any(v in A for A in M.rows):
+                assert contract(M, v).rows is M.rows
+                checked += 1
+        assert checked == 946
+
+    def test_singleton_row_contracts_to_the_empty_row(self):
+        checked = 0
+        for M, v in self.cases():
+            if F({v}) in M.rows:
+                assert contract(M, v) == Clutter(M.ground - {v}, F({F()}))
+                checked += 1
+        assert checked == 931
 
 
 class TestContract:

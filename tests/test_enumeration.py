@@ -61,6 +61,11 @@ class TestEnumerateClutters:
     def test_deterministic_order(self):
         assert list(enumerate_clutters(3)) == list(enumerate_clutters(3))
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_order_matches_chosen_scan(self, n):
+        # element by element: 7581 clutters at n=5
+        assert list(enumerate_clutters(n)) == list(helpers.naive_enumerate_clutters(n))
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             list(enumerate_clutters(6))

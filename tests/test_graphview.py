@@ -1,9 +1,12 @@
 """Incidence graphs, connectivity transfer, twins, and good components."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_separation
 from clutters import core, graphview
 from clutters.core import contract, delete, find_separation, is_connected, new_clutter
 from clutters.enumeration import enumerate_clutters
@@ -26,6 +29,7 @@ from clutters.graphview import (
     twins,
     vertex_sort_key,
 )
+from clutters.matroid import circuits_clutter, uniform
 
 F = frozenset
 
@@ -157,6 +161,54 @@ class TestOneConnectivityRoutine:
         assert calls
 
 
+class TestPartsStopAtSpanningMerge:
+    """core._parts reads no edge after the merge that leaves one part
+    holding every vertex, and its answers stay those of the oracles."""
+
+    def test_dense_clutter_reads_few_rows(self):
+        M = circuits_clutter(uniform(3, 11))
+        rows = sorted(M.rows, key=core.row_sort_key)  # a fixed order, not hash order
+        read = []
+
+        def counted():
+            for A in rows:
+                read.append(A)
+                yield A
+
+        part = core._parts(M.ground, counted())
+        assert set(part.values()) == {M.ground}
+        assert len(rows) == 330
+        assert len(read) < 20
+
+    # {4, 5} joins {1, 2, 3, 4} to {5, 6}: listed last, it makes the spanning merge
+    EDGES = [F("12"), F("34"), F("56"), F("23"), F("45")]
+
+    def test_spanning_merge_on_the_last_edge(self):
+        ground = F("123456")
+        for order in itertools.permutations(self.EDGES):
+            assert set(core._parts(ground, order).values()) == {ground}
+        M = new_clutter(ground, self.EDGES)
+        assert is_connected(M)
+        assert find_separation(M) is None
+        assert naive_separation(M) is None
+        G = incidence_graph(M)
+        # in the graph the last star always makes the spanning merge: its
+        # white vertex is a part of its own until then
+        adjacency = G._neighbours
+        keys = [graphview.row_key(A) for A in self.EDGES]
+        stars = [adjacency[(WHITE, w)] | {(WHITE, w)} for w in keys]
+        part = core._parts(adjacency, stars)
+        assert set(part.values()) == set(scan_components(G))
+        assert components(G) == scan_components(G)
+
+    def test_no_spanning_merge_with_an_element_in_no_row(self):
+        M = new_clutter("1234567", self.EDGES)
+        assert not is_connected(M)
+        assert find_separation(M) == naive_separation(M)
+        G = incidence_graph(M)
+        assert components(G) == scan_components(G)
+
+
 class TestNeighbourMap:
     def test_invisible_to_equality_hash_and_repr(self):
         used = incidence_graph(PATH)
@@ -229,8 +281,14 @@ class TestNeighbourhood:
 
     @pytest.mark.parametrize(
         "vertex",
-        [("grey", "2"), (BLACK, "r:1,2"), (WHITE, "2"), (BLACK, "1", "x")],
-        ids=["wrong-tag", "white-name-as-black", "black-name-as-white", "not-a-pair"],
+        [("grey", "2"), (BLACK, "r:1,2"), (WHITE, "2"), (BLACK, "1", "x"), [BLACK, "1"]],
+        ids=[
+            "wrong-tag",
+            "white-name-as-black",
+            "black-name-as-white",
+            "not-a-pair",
+            "unhashable-list",
+        ],
     )
     def test_malformed_vertex(self, vertex):
         with pytest.raises(VertexNotFound):
