@@ -170,7 +170,9 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
 def twins(G: IncidenceGraph, v: str) -> frozenset:
     """All black vertices other than v with the same open neighbourhood."""
     _require_black(G, v)
-    return _twins(G._black_neighbourhoods, v)
+    adj = G._black_neighbourhoods
+    mine = adj[v]
+    return frozenset(u for u, ns in adj.items() if u != v and ns == mine)
 
 
 def contract_twin(M: Clutter, v: str) -> Clutter:
@@ -187,23 +189,8 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
 
 def minimal_black_vertices(G: IncidenceGraph) -> frozenset:
     """Black vertices whose open neighbourhood properly contains no other's."""
-    return _minimal(G._black_neighbourhoods)
-
-
-# The twin and minimality rules over any {element: neighbourhood} map.  Only
-# equality and proper inclusion of neighbourhoods matter, so an element's set
-# of rows serves as well as its set of white vertices: row_key is injective.
-
-
-def _minimal(adj: dict) -> frozenset:
-    """The elements whose neighbourhood properly contains no other's."""
+    adj = G._black_neighbourhoods
     return frozenset(v for v, ns in adj.items() if not any(ws < ns for ws in adj.values()))
-
-
-def _twins(adj: dict, v: str) -> frozenset:
-    """The elements other than v with the same neighbourhood as v."""
-    mine = adj[v]
-    return frozenset(u for u, ns in adj.items() if u != v and ns == mine)
 
 
 def good_components(G: IncidenceGraph, u: str) -> list:

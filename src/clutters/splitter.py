@@ -10,7 +10,7 @@ renders the full forensic picture of such a failure.
 from __future__ import annotations
 
 from . import core, graphview, minor
-from .core import Clutter, _Record, canonical_serialize
+from .core import Clutter, MinorSpec, _Record, canonical_serialize
 from .errors import PreconditionViolation, TheoremCounterexample
 
 DELETE = "delete"
@@ -41,57 +41,100 @@ def _apply(M: Clutter, v: str, op: str) -> Clutter:
     return core.delete(M, v) if op == DELETE else core.contract(M, v)
 
 
+def _ranked(M: Clutter, N: Clutter):
+    """candidate_elements' order, lazily: each minimal element as soon as
+    it is classed, then the elements with twins, then the rest, each group
+    ascending.
+
+    An element u != v in no row without v has its rows inside v's.  So v is
+    minimal when no row holds v or every such u lies in every row with v,
+    and otherwise v has a twin when some such u does.  One pass over M's
+    rows classes v, and it stops once every u != v has shown up in a row
+    without v.
+    """
+    twinned, rest = [], []
+    others = len(M.ground) - 1
+    for v in sorted(M.ground - N.ground):
+        common = None  # the elements in every row with v
+        outside = set()  # the elements in some row without v
+        for A in M.rows:
+            if v in A:
+                common = A if common is None else common & A
+            else:
+                outside.update(A)
+                if len(outside) == others:
+                    break  # no u has its rows inside v's: v is minimal
+        inside = M.ground - outside  # v and the u in no row without v
+        if common is None or inside <= common:
+            yield v
+        elif len(inside & common) > 1:  # v and a twin
+            twinned.append(v)
+        else:
+            rest.append(v)
+    yield from twinned
+    yield from rest
+
+
 def candidate_elements(M: Clutter, N: Clutter) -> list:
     """Candidate removal order: minimal black vertices first, then elements
     with twins, then the rest, ascending within each class.
 
     The classes mirror where connectivity-preserving removals tend to live;
     they affect only which witness is found, never whether one exists.
-    Both rules compare each element's set of rows, gathered in one pass over
-    the rows; it is the element's neighbourhood in M's incidence graph up to
-    row_key, which is injective, so no graph is built.
+    Both rules compare elements' sets of rows, which is their neighbourhoods
+    in M's incidence graph up to row_key, an injection, so no graph is
+    built.  A splitter step ranks lazily and classes only the candidates it
+    tries; this full list costs one pass over the rows per element.
     """
-    held = {v: [] for v in M.ground}
-    for A in M.rows:
-        for v in A:
-            held[v].append(A)
-    rows_of = {v: frozenset(rows) for v, rows in held.items()}
-    minimal = graphview._minimal(rows_of)
-    return sorted(
-        sorted(M.ground - N.ground),
-        key=lambda v: 0 if v in minimal else 1 if graphview._twins(rows_of, v) else 2,
-    )
+    return list(_ranked(M, N))
 
 
-def _problems(result: Clutter, N: Clutter):
+def _problems(result: Clutter, N: Clutter, witness):
     """What result lacks as a splitter step towards N, lazily: "result
-    disconnected", then "target not a minor of result"."""
+    disconnected", then "target not a minor of result".
+
+    witness, a spec turning result into N or None if none is known, answers
+    the second without a search.  Returns the witness given or found, or
+    None.
+    """
     if not core.is_connected(result):
         yield "result disconnected"
-    if minor.has_minor(result, N) is None:
-        yield "target not a minor of result"
+    if witness is None:
+        witness = minor.has_minor(result, N)
+        if witness is None:
+            yield "target not a minor of result"
+    return witness
 
 
-def _attempts(M: Clutter, N: Clutter):
+def _attempts(M: Clutter, N: Clutter, spec):
     """Every candidate removal from M towards N, in search order.
 
-    Yields (element, op, result, problems) for each element of
-    candidate_elements, delete before contract.  problems is _problems'
-    iterator: the report reads it whole, a step search only up to the first
-    problem, so a disconnected result gets no minor test.  An empty one
-    marks a splitter step.
+    Yields (element, op, result, problems) for each element in
+    candidate_elements order, delete before contract.  problems is
+    _problems' iterator: the report reads it whole, a step search only up to
+    the first problem, so a disconnected result gets no minor test.  An
+    empty one marks a splitter step.
+
+    spec is a witness turning M into N, or None.  Removing v as spec does
+    keeps N a minor by spec less v, so that attempt gets no minor search.
     """
-    for v in candidate_elements(M, N):
+    for v in _ranked(M, N):
         for op in (DELETE, CONTRACT):
+            witness = None
+            if spec is not None and v in (spec.deletes if op == DELETE else spec.contracts):
+                witness = MinorSpec(spec.deletes - {v}, spec.contracts - {v})
             result = _apply(M, v, op)
-            yield v, op, result, _problems(result, N)
+            yield v, op, result, _problems(result, N, witness)
 
 
-def _step(M: Clutter, N: Clutter) -> SplitterStep:
-    """The first splitter step from M towards N; preconditions are the caller's."""
-    for v, op, result, problems in _attempts(M, N):
-        if next(problems, None) is None:
-            return SplitterStep(v, op, result)
+def _step(M: Clutter, N: Clutter, spec) -> tuple:
+    """The first splitter step from M towards N, and a witness turning its
+    result into N; spec turns M into N, other preconditions are the caller's."""
+    for v, op, result, problems in _attempts(M, N, spec):
+        try:
+            next(problems)
+        except StopIteration as no_problem:
+            return SplitterStep(v, op, result), no_problem.value
     raise TheoremCounterexample(
         "no single-element removal preserves connectivity and the minor", M, N
     )
@@ -107,21 +150,23 @@ def _require_connected(M: Clutter, N: Clutter) -> None:
 def find_splitter(M: Clutter, N: Clutter) -> SplitterStep:
     """One connectivity- and minor-preserving removal step from M towards N."""
     _require_connected(M, N)
-    if not minor.is_proper_minor(M, N):
+    spec = minor.has_minor(M, N) if N.ground < M.ground else None
+    if spec is None:
         raise PreconditionViolation("N is not a proper minor of M")
-    return _step(M, N)
+    return _step(M, N, spec)[0]
 
 
 def chain(M: Clutter, N: Clutter) -> SplitterChain:
     """A chain of splitter steps from M down to exactly N."""
     _require_connected(M, N)
-    if minor.has_minor(M, N) is None:
+    spec = minor.has_minor(M, N)
+    if spec is None:
         raise PreconditionViolation("N is not a minor of M")
     steps = []
     current = M
     while current != N:
         # current != N and N a minor of current imply N is a proper minor
-        step = _step(current, N)
+        step, spec = _step(current, N, spec)
         steps.append(step)
         current = step.result
     return SplitterChain(M, tuple(steps))
@@ -169,7 +214,9 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
     out.append("")
     out.append("candidates:")
     # listed ascending, delete before contract, whatever order the search used
-    attempts = sorted(_attempts(M, N), key=lambda a: (a[0], a[1] != DELETE))
+    attempts = sorted(
+        _attempts(M, N, minor.has_minor(M, N)), key=lambda a: (a[0], a[1] != DELETE)
+    )
     out += [
         f"  {op} {v}: " + ("; ".join(problems) or "works")
         for v, op, _, problems in attempts

@@ -179,12 +179,13 @@ def naive_candidate_elements(M, N):
     )
 
 
-def naive_chain_steps(M, N):
+def naive_chain_steps(M, N, limit=None):
     """The splitter chain from M down to N as a list of formatted steps, each
     the first connected removal keeping N as a minor in
-    naive_candidate_elements order, delete before contract."""
+    naive_candidate_elements order, delete before contract; at most limit
+    steps if given.  A step with no such removal raises StopIteration."""
     out = []
-    while M != N:
+    while M != N and len(out) != limit:
         M, text = next(
             (R, f"{op} {v}\n")
             for v in naive_candidate_elements(M, N)

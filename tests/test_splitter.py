@@ -1,13 +1,15 @@
 """Splitter steps, chains, and counterexample forensics."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutters import graphview, minor
+from clutters import graphview, minor, splitter
 from clutters.core import (
+    Clutter,
     MinorSpec,
     apply_minor,
     canonical_serialize,
@@ -35,7 +37,12 @@ from clutters.splitter import (
     format_chain,
     format_step,
 )
-from helpers import all_subsets, naive_candidate_elements
+from helpers import (
+    all_subsets,
+    naive_candidate_elements,
+    naive_chain_steps,
+    naive_separation,
+)
 
 F = frozenset
 
@@ -284,6 +291,33 @@ class TestCounterexampleReport:
             "    u=d: {a b c e r:a,b,e r:c,e} (minimal)\n"
         )
 
+    def test_target_not_a_minor(self):
+        # no witness to hand on: every attempt gets the minor test
+        M, N = C("123", "12", "23"), C("13", "13")
+        assert has_minor(M, N) is None
+        assert counterexample_report(M, N) == (
+            "splitter search failed: every candidate fails\n"
+            "\n"
+            "M:\n"
+            "  elements 1 2 3\n"
+            "  row 1 2\n"
+            "  row 2 3\n"
+            "N:\n"
+            "  elements 1 3\n"
+            "  row 1 3\n"
+            "\n"
+            "candidates:\n"
+            "  delete 2: result disconnected; target not a minor of result\n"
+            "  contract 2: result disconnected; target not a minor of result\n"
+            "\n"
+            "incidence graph analysis of M:\n"
+            "  minimal black vertices: 1 3\n"
+            "  twins: none\n"
+            "  good components:\n"
+            "    u=1: {2 3 r:2,3} (minimal)\n"
+            "    u=3: {1 2 r:1,2} (minimal)\n"
+        )
+
     def test_no_candidates(self):
         report = counterexample_report(TRIANGLE, TRIANGLE)
         assert "candidates:\n  (none)\n\n" in report
@@ -338,6 +372,78 @@ class TestCandidateOrder:
         assert candidate_elements(M, N) == naive_candidate_elements(M, N)
 
 
+def connected_rows(labels, rows):
+    """A connected antichain on labels built from the antichain rows of
+    nonempty sets: each element in no row joins the first row, then, while a
+    separation splits the ground, one row from each side merge into their
+    union.  A row inside the union lies inside one of the two, so the rows
+    stay an antichain."""
+    rows = list(rows) or [F(labels)]
+    rows[0] = rows[0].union(set(labels).difference(*rows))
+    while (sep := naive_separation(new_clutter(labels, rows))) is not None:
+        A = next(R for R in rows if R <= sep.left)
+        B = next(R for R in rows if R <= sep.right)
+        rows = [R for R in rows if R not in (A, B)] + [A | B]
+    return new_clutter(labels, rows)
+
+
+def wide_pair(data):
+    """A connected clutter M on 6 to 11 elements, in the uniform, random or
+    twins shape, and a connected minor N of M under a random mixed spec."""
+    n = data.draw(st.integers(min_value=6, max_value=11), label="n")
+    shape = data.draw(st.sampled_from(["random", "uniform", "twins"]), label="shape")
+    k = data.draw(st.integers(min_value=1, max_value=3), label="k") if shape == "twins" else 0
+    labels = [str(i + 1) for i in range(n - k)]  # "10" sorts before "2"
+    if shape == "uniform":
+        r = data.draw(st.integers(min_value=1, max_value=n - 1), label="r")
+        M = circuits_clutter(uniform(r, n, labels))
+    else:
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=5)
+        drawn = set(data.draw(st.lists(row, max_size=16), label="rows"))
+        M = connected_rows(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        # each new label joins exactly the rows of a drawn old one, so the two
+        # are twins, and M stays a connected antichain
+        mates = data.draw(st.lists(st.sampled_from(labels), min_size=k, max_size=k))
+        for i, v in enumerate(mates):
+            rows = [A | {f"t{i}"} if v in A else A for A in M.rows]
+            M = new_clutter(sorted(M.ground) + [f"t{i}"], rows)
+    assert is_connected(M) and len(M.ground) == n
+    ops = data.draw(st.lists(st.sampled_from("kkkdc"), min_size=n, max_size=n), label="ops")
+    spec = {op: F(v for v, o in zip(sorted(M.ground), ops) if o == op) for op in "kdc"}
+    N = apply_minor(M, MinorSpec(spec["d"], spec["c"]))
+    # delete the smaller side of a separation until N is connected
+    while (sep := naive_separation(N)) is not None:
+        for v in min(sep.right, sep.left, key=len):
+            N = delete(N, v)
+    return M, N
+
+
+STUCK = "TheoremCounterexample: no single-element removal preserves connectivity and the minor"
+
+
+def naive_text(M, N, limit=None):
+    """naive_chain_steps as outcome renders the library's answer."""
+    try:
+        return "".join(naive_chain_steps(M, N, limit))
+    except StopIteration:
+        return STUCK
+
+
+class TestWideGrounds:
+    """The splitter search against the incidence-graph oracle on grounds
+    beyond the exhaustive pins."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_search_matches_naive(self, data):
+        M, N = wide_pair(data)
+        assert candidate_elements(M, N) == naive_candidate_elements(M, N)
+        assert outcome(lambda: chain(M, N), format_chain) == naive_text(M, N)
+        if N != M:
+            assert outcome(lambda: find_splitter(M, N), format_step) == naive_text(M, N, 1)
+        assert outcome(lambda: chain_to_empty(M), format_chain) == naive_text(M, C(""))
+
+
 class TestNoIncidenceGraph:
     """Splitter steps and chains rank candidates without building an
     incidence graph; only the counterexample report analyses one."""
@@ -371,6 +477,17 @@ class TestNoIncidenceGraph:
         assert calls == [M]
 
 
+class RankPasses(frozenset):
+    """Rows that count the passes the candidate ranking makes over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        if sys._getframe(1).f_code is splitter._ranked.__code__:
+            RankPasses.passes += 1
+        return super().__iter__()
+
+
 class TestStepWork:
     def test_disconnected_candidate_gets_no_minor_test(self, monkeypatch):
         calls, real = [], minor.has_minor
@@ -378,13 +495,46 @@ class TestStepWork:
         M, N = C("123", "123"), C("12", "12")
         step = find_splitter(M, N)
         assert (step.element, step.op) == ("3", "contract")
-        # the precondition, then M/3: the first candidate M\3 = ({1 2}; -) is
-        # disconnected, so the search asks nothing more about it
-        assert calls == [M, contract(M, "3")]
+        # only the precondition: the first candidate M\3 = ({1 2}; -) is
+        # disconnected, so the search asks nothing more about it, and the
+        # precondition's witness contracts 3, so M/3 keeps N by what is left
+        assert calls == [M]
         calls.clear()
         report = counterexample_report(M, N)
         assert "delete 3: result disconnected; target not a minor of result" in report
         assert delete(M, "3") in calls
+
+    U39 = TestNoIncidenceGraph.U39
+
+    def test_chain_to_empty_searches_only_for_contractions(self, monkeypatch):
+        # the precondition's witness deletes every element, so each deletion
+        # step is answered by what is left of it; a contraction step is not,
+        # and gets one search, whose witness then answers the deletions after
+        calls, real = [], minor.has_minor
+        monkeypatch.setattr(minor, "has_minor", lambda M, N: calls.append(M) or real(M, N))
+        out = chain_to_empty(self.U39)
+        assert [s.op for s in out.steps] == ["delete"] * 5 + ["contract"] * 2 + ["delete"] * 2
+        assert calls == [self.U39, out.steps[5].result, out.steps[6].result]
+
+    @pytest.mark.parametrize("target", ["empty", "minor"])
+    def test_steps_rank_one_element_and_hand_on_witnesses(self, target):
+        M = self.U39
+        if target == "empty":
+            N = C("")
+        else:
+            N = apply_minor(M, MinorSpec(F({"e1", "e4", "e6"}), F({"e2"})))
+        expected = chain(M, N).steps
+        spec = has_minor(M, N)
+        for want in expected:
+            RankPasses.passes = 0
+            step, spec = splitter._step(Clutter(M.ground, RankPasses(M.rows)), N, spec)
+            assert step == want
+            # every candidate of a uniform clutter is minimal, so the step
+            # classes the one it tries and no other
+            assert RankPasses.passes == 1
+            assert apply_minor(step.result, spec) == N
+            M = step.result
+        assert M == N
 
 
 # sha256 values taken from the implementation that ranked candidates with
