@@ -98,7 +98,7 @@ class Clutter(_Record):
     rows: frozenset
 
     # Spelled out rather than inherited: clutters are built, compared and
-    # hashed on every hot path (delete, contract, the verifier's memo keys).
+    # hashed on every hot path (delete, contract, the verifier's sets of minors).
     def __init__(self, ground: frozenset, rows: frozenset):
         _set_ground(self, ground)
         _set_rows(self, rows)
@@ -237,21 +237,32 @@ def _parts(vertices: Iterable, edges: Iterable) -> dict:
     """Each vertex's part: its component in the hypergraph with these vertices
     and edges (collections of vertices), such as the elements and the rows.
 
-    An edge merges the parts it meets; an edge inside one part changes
-    nothing and is passed over, which dense clutters make the common case.
-    Once a merge leaves one part holding every vertex the map is final, and
-    the remaining edges are not read.
+    A part is a list of its members, and every member maps to that one list
+    object, so parts compare by identity.  Union by size (Tarjan 1975): an
+    edge merges each part it meets into the largest one met so far, and only
+    the smaller part's members are relabeled.  A vertex is relabeled only
+    when its part at least doubles, so the work is linear in the total edge
+    size plus V log V for V vertices, whatever order the edges come in.
+    Once a part holds every vertex the map is final, and the remaining edges
+    are not read; an edge inside one part, which dense clutters make the
+    common case, merges nothing.
     """
-    part = {v: frozenset((v,)) for v in vertices}
+    part = {v: [v] for v in vertices}
     whole = len(part)
     for edge in edges:
-        met = {part[v] for v in edge}
-        if len(met) > 1:
-            merged = frozenset().union(*met)
-            for v in merged:
-                part[v] = merged
-            if len(merged) == whole:
-                break
+        big = None
+        for v in edge:
+            small = part[v]
+            if big is None:
+                big = small
+            elif small is not big:
+                if len(small) > len(big):
+                    big, small = small, big
+                big += small
+                for u in small:
+                    part[u] = big
+        if big is not None and len(big) == whole:
+            break
     return part
 
 
@@ -269,28 +280,31 @@ def find_separation(M: Clutter) -> Separation | None:
         return None
     part = _parts(M.ground, M.rows)
     elems = sorted(M.ground)
-    left = part[elems[0]]
-    if left == M.ground:
+    left = set(part[elems[0]])
+    if len(left) == len(elems):
         return None
     for e in elems:
         if e in left:
             continue
         if e > max(left) or len(left) + len(part[e]) == len(elems):
             break
-        left |= part[e]
+        left.update(part[e])
+    left = frozenset(left)
     return Separation(left, M.ground - left)
 
 
 def is_connected(M: Clutter) -> bool:
     """True iff the clutter admits no separation: the hypergraph of its rows
-    has at most one component.
+    has at most one component, that is, the first element's part holds every
+    element.
 
     An empty row joins no elements, so ({x}; {∅}) counts as connected, as
     does any clutter on at most one element.  It is the only clutter whose
     incidence graph disagrees: there the empty row is an isolated white
     vertex beside the black vertex x.
     """
-    return len(set(_parts(M.ground, M.rows).values())) <= 1
+    part = _parts(M.ground, M.rows)
+    return len(next(iter(part.values()), ())) == len(part)
 
 
 def canonical_serialize(M: Clutter) -> str:

@@ -106,30 +106,32 @@ class VerificationReport(_Record):
         return sum(len(r.counterexamples) for r in self.results)
 
 
-def _removals(C: Clutter) -> Iterator[Clutter]:
-    """C\\v and C/v for each element v of C."""
-    for v in C.ground:
-        yield core.delete(C, v)
-        yield core.contract(C, v)
-
-
-def _connected_minors(C: Clutter, memo: dict) -> frozenset:
-    """S(C): every connected minor of C, C itself included if it is connected.
+def _connected_minors(C: Clutter, memo: dict) -> tuple:
+    """(C is connected, S(C)), where S(C) is every connected minor of C, C
+    itself included if it is connected.
 
     Every proper minor of C is a minor of a single removal, so
     S(C) = ({C} if C is connected) | the S of each C\\v and C/v.  memo maps
-    each clutter value to its S, so each clutter's S and connectivity are
-    computed once per memo: C is connected iff C is in S(C).  memo is a plain
-    dict because a recursive closure under functools.cache is a reference
-    cycle, which only the cycle collector frees.
+    each clutter's (ground, rows) pair to its entry, so each clutter's S and
+    connectivity are computed once per memo.  The key is a tuple of the
+    clutter's two frozensets, which hash and compare in C, not through
+    Clutter's Python-level methods; and S(C) holds the first Clutter object
+    met for each value, so the sets' unions match their members by identity.
+    memo is a plain dict because a recursive closure under functools.cache
+    is a reference cycle, which only the cycle collector frees.
     """
-    found = memo.get(C)
-    if found is None:
-        found = frozenset().union(*(_connected_minors(R, memo) for R in _removals(C)))
-        if core.is_connected(C):
-            found |= {C}
-        memo[C] = found
-    return found
+    key = (C.ground, C.rows)
+    entry = memo.get(key)
+    if entry is None:
+        found = set()
+        for v in C.ground:
+            found |= _connected_minors(core.delete(C, v), memo)[1]
+            found |= _connected_minors(core.contract(C, v), memo)[1]
+        connected = core.is_connected(C)
+        if connected:
+            found.add(C)
+        entry = memo[key] = (connected, frozenset(found))
+    return entry
 
 
 def _first_witness(M: Clutter, N: Clutter) -> tuple:
@@ -143,37 +145,46 @@ def _first_witness(M: Clutter, N: Clutter) -> tuple:
 
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    return sorted(_connected_minors(M, {}) - {M}, key=lambda N: _first_witness(M, N))
+    minors = _connected_minors(M, {})[1] - {M}
+    return sorted(minors, key=lambda N: _first_witness(M, N))
+
+
+def _splitter_failures(M: Clutter, memo: dict) -> tuple:
+    """(tested, failures) for a connected clutter M: tested counts M's
+    connected proper minors N, and failures lists, in first-witness order,
+    those for which no single removal R of M is connected with N as a minor.
+
+    M's connected proper minors are the union of S(R) over its single
+    removals R (see _connected_minors), and N passes iff N is in S(R) for a
+    connected R.  So the failures are that union less the union over the
+    connected R, found with no per-pair test.  memo is _connected_minors'
+    memo, shared across the M of one run.
+    """
+    minors, reach = set(), set()
+    for v in M.ground:
+        for R in (core.delete(M, v), core.contract(M, v)):
+            connected, found = _connected_minors(R, memo)
+            minors |= found
+            if connected:
+                reach |= found
+    failures = sorted(minors - reach, key=lambda N: _first_witness(M, N))
+    return len(minors), failures
 
 
 def verify_theorem(n: int) -> VerificationReport:
     """Check the splitter property on every connected clutter M on exactly n
-    labeled elements against each of its connected proper minors N.
-
-    M's connected proper minors are the union of S(R) over its single
-    removals R (see _connected_minors), and a pair passes iff N is in S(R)
-    for a connected R.  So M's failures are that union less the union over
-    the connected R, found with no per-pair test and sorted by first witness.
-    One memo lives for the call and holds S of each clutter on n-1 or fewer
-    elements that occurs.
+    labeled elements against each of its connected proper minors N (see
+    _splitter_failures).  One memo lives for the call and holds the entry
+    of each clutter on n-1 or fewer elements that occurs.
     """
     memo = {}
     tested = 0
     failures = []
     for M in enumerate_clutters(n):
-        if not core.is_connected(M):
-            continue
-        minors, reach = set(), set()
-        for R in _removals(M):
-            found = _connected_minors(R, memo)
-            minors |= found
-            if R in found:
-                reach |= found
-        tested += len(minors)
-        failures += [
-            f"M=({_inline(M)})  N=({_inline(N)})"
-            for N in sorted(minors - reach, key=lambda N: _first_witness(M, N))
-        ]
+        if core.is_connected(M):
+            count, failed = _splitter_failures(M, memo)
+            tested += count
+            failures += [f"M=({_inline(M)})  N=({_inline(N)})" for N in failed]
     passed = tested - len(failures)
     result = CheckResult(f"theorem n={n}", tested, passed, tuple(failures))
     return VerificationReport((result,))

@@ -134,6 +134,17 @@ def naive_separation(M):
     return None
 
 
+def frozen_parts(part):
+    """The distinct parts of a core._parts map, each frozen once, after
+    checking that every vertex lies in the part it maps to."""
+    frozen = {}  # id of each part -> the part, frozen
+    for v, members in part.items():
+        if id(members) not in frozen:
+            frozen[id(members)] = F(members)
+        assert v in frozen[id(members)]
+    return set(frozen.values())
+
+
 def naive_delete(M, v):
     """Drop v from the ground and keep the rows that avoid it."""
     return Clutter(M.ground - {v}, F(A for A in M.rows if v not in A))

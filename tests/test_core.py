@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_contract, naive_delete, naive_separation
+from helpers import frozen_parts, naive_contract, naive_delete, naive_separation
 import clutters
 from clutters import core
 from clutters.core import (
@@ -258,6 +258,7 @@ class TestFindSeparation:
         for n in range(6):
             for M in enumerate_clutters(n):
                 assert find_separation(M) == naive_separation(M), M
+                assert is_connected(M) == (naive_separation(M) is None), M
                 checked += 1
         assert checked == 7780
 
@@ -277,6 +278,24 @@ class TestFindSeparation:
         M = new_clutter(labels, rows)
         assert find_separation(M) == naive_separation(M)
         assert is_connected(M) == (naive_separation(M) is None)
+
+
+class TestPartsOnLongPaths:
+    """core._parts on paths, whose edges in order each grow one part by one
+    vertex: union by size relabels only the smaller side of each merge."""
+
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_in_order_and_reversed(self, n):
+        edges = [(i, i + 1) for i in range(n)]
+        for order in (edges, edges[::-1]):
+            assert frozen_parts(core._parts(range(n + 1), order)) == {F(range(n + 1))}
+
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_one_middle_edge_missing(self, n):
+        middle = n // 2
+        edges = [(i, i + 1) for i in range(n) if i != middle]
+        expected = {F(range(middle + 1)), F(range(middle + 1, n + 1))}
+        assert frozen_parts(core._parts(range(n + 1), edges)) == expected
 
 
 class TestDenseConnectivity:

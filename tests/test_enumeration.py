@@ -292,7 +292,8 @@ class TestVerifyTheorem:
         clutters = [C for n in range(5) for C in enumerate_clutters(n)]
         oracle = {C: {N for _, N in all_minors(C) if is_connected(N)} for C in clutters}
         for C in clutters + clutters[::-1]:
-            assert _connected_minors(C, memo) == oracle[C]
+            connected = helpers.naive_separation(C) is None
+            assert _connected_minors(C, memo) == (connected, oracle[C])
 
     @pytest.mark.parametrize("n,calls", [(3, 9), (4, 16)])
     def test_has_minor_called_once_per_counterexample(self, n, calls, monkeypatch):
@@ -300,6 +301,31 @@ class TestVerifyTheorem:
         monkeypatch.setattr(minor, "has_minor", lambda M, N: counted.append(N) or real(M, N))
         (result,) = verify_theorem(n).results
         assert len(counted) == len(result.counterexamples) == calls
+
+    def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
+        # the memo keys on (ground, rows) and stores each clutter's flag, so
+        # no Clutter.__eq__ runs (1,438 calls with Clutter keys), and
+        # is_connected runs once per clutter at n=4 and once per memo entry
+        calls = {"eq": 0, "is_connected": 0}
+        real_eq, real_connected = Clutter.__eq__, core.is_connected
+
+        def counted_eq(a, b):
+            calls["eq"] += 1
+            return real_eq(a, b)
+
+        def counted_connected(M):
+            calls["is_connected"] += 1
+            return real_connected(M)
+
+        memo = {}
+        for M in enumerate_connected(4):
+            enumeration._splitter_failures(M, memo)
+        assert len(memo) == 126
+        monkeypatch.setattr(Clutter, "__eq__", counted_eq)
+        monkeypatch.setattr(core, "is_connected", counted_connected)
+        (result,) = verify_theorem(4).results
+        assert result.tested == 1806
+        assert calls == {"eq": 0, "is_connected": 168 + 126}
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])
