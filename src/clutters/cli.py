@@ -62,8 +62,7 @@ def cmd_connected(args) -> int:
 
 
 def _format_minor_spec(spec: core.MinorSpec) -> str:
-    deletes = " ".join(sorted(spec.deletes)) or "-"
-    contracts = " ".join(sorted(spec.contracts)) or "-"
+    deletes, contracts = core._members(spec.deletes), core._members(spec.contracts)
     return f"deletes {deletes}\ncontracts {contracts}\n"
 
 

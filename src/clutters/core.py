@@ -22,22 +22,34 @@ from .errors import (
     ParseError,
 )
 
+
+def _members(labels: Iterable[str]) -> str:
+    """Labels ascending and space-separated, or the token '-' when there are
+    none, as the line format writes an empty row."""
+    return " ".join(sorted(labels)) or "-"
+
+
 def row_sort_key(row: frozenset) -> tuple:
     """Canonical row order: by cardinality, then by ascending member labels."""
     return (len(row), tuple(sorted(row)))
 
 
-class _RecordType(type):
-    """Metaclass of the records.  Each record class gets one slot per
-    annotated field, in order, then any slots its body names (such as
-    `__dict__`), and the per-class helpers that `_Record` works through.
-    Fields are not inherited: every record class derives from `_Record`
-    directly."""
+class _Record:
+    """Base of the package's immutable values.
 
-    def __new__(mcls, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
-        cls = super().__new__(mcls, name, bases, namespace)
+    A record class names its fields, in order, as its `__slots__`, with
+    `"__dict__"` last if it caches derived values.  A record is built from
+    its fields by position or keyword, cannot be changed after construction,
+    equals only a record of the same class with equal fields, hashes as the
+    tuple of its fields, and pickles and copies by calling its class with
+    its fields.  Fields are not inherited: every record class derives from
+    `_Record` directly.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         cls._fields = fields
         # the slots' own setters, which bypass the guarded __setattr__
         cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
@@ -46,17 +58,6 @@ class _RecordType(type):
         else:  # attrgetter of one name returns the bare value, not a tuple
             values = lambda record: tuple(getattr(record, f) for f in fields)
         cls._values = staticmethod(values)  # record -> tuple of its fields
-        return cls
-
-
-class _Record(metaclass=_RecordType):
-    """Base of the package's immutable values.
-
-    A record is built from its fields by position or keyword, cannot be
-    changed after construction, equals only a record of the same class with
-    equal fields, hashes as the tuple of its fields, and pickles and copies
-    by calling its class with its fields.
-    """
 
     def __init__(self, *args, **kwargs):
         if kwargs:  # the keyword fields, in field order after the positional ones
@@ -94,8 +95,7 @@ class _Record(metaclass=_RecordType):
 class Clutter(_Record):
     """Immutable clutter value; construct through new_clutter or parse_clutter."""
 
-    ground: frozenset
-    rows: frozenset
+    __slots__ = ("ground", "rows")
 
     # Spelled out rather than inherited: clutters are built, compared and
     # hashed on every hot path (delete, contract, the verifier's sets of minors).
@@ -125,19 +125,16 @@ _set_ground, _set_rows = Clutter._setters
 class Separation(_Record):
     """A bipartition of the ground set with every row inside one part."""
 
-    left: frozenset
-    right: frozenset
+    __slots__ = ("left", "right")
 
 
 class MinorSpec(_Record):
     """Disjoint delete/contract element sets describing a minor."""
 
-    deletes: frozenset
-    contracts: frozenset
+    __slots__ = ("deletes", "contracts")
 
     def __repr__(self) -> str:
-        d = " ".join(sorted(self.deletes)) or "-"
-        c = " ".join(sorted(self.contracts)) or "-"
+        d, c = _members(self.deletes), _members(self.contracts)
         return f"MinorSpec(deletes {d}, contracts {c})"
 
 
@@ -316,7 +313,7 @@ def canonical_serialize(M: Clutter) -> str:
     """
     lines = ["elements" + "".join(" " + e for e in sorted(M.ground))]
     for row in sorted(M.rows, key=row_sort_key):
-        lines.append("row " + (" ".join(sorted(row)) if row else "-"))
+        lines.append("row " + _members(row))
     return "\n".join(lines) + "\n"
 
 

@@ -74,10 +74,7 @@ class CheckResult(_Record):
     """One verifier check: how many cases it tested and passed, and the
     counterexample lines of the ones that failed."""
 
-    name: str
-    tested: int
-    passed: int
-    counterexamples: tuple
+    __slots__ = ("name", "tested", "passed", "counterexamples")
 
     def summary_line(self) -> str:
         return (
@@ -89,7 +86,7 @@ class CheckResult(_Record):
 class VerificationReport(_Record):
     """The check results of one verifier run, in order."""
 
-    results: tuple
+    __slots__ = ("results",)
 
     def render(self) -> str:
         lines = []
@@ -134,19 +131,10 @@ def _connected_minors(C: Clutter, memo: dict) -> tuple:
     return entry
 
 
-def _first_witness(M: Clutter, N: Clutter) -> tuple:
-    """N's first keep/delete/contract assignment (0/1/2) over M's ascending
-    elements, which sorts M's minors in minor.all_minors order: N keeps E(N),
-    and has_minor's witness is the first split of the rest."""
-    deletes = minor.has_minor(M, N).deletes
-    elems = sorted(M.ground)
-    return tuple(0 if e in N.ground else 1 if e in deletes else 2 for e in elems)
-
-
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
     minors = _connected_minors(M, {})[1] - {M}
-    return sorted(minors, key=lambda N: _first_witness(M, N))
+    return sorted(minors, key=lambda N: minor._first_witness(M, N))
 
 
 def _splitter_failures(M: Clutter, memo: dict) -> tuple:
@@ -167,7 +155,7 @@ def _splitter_failures(M: Clutter, memo: dict) -> tuple:
             minors |= found
             if connected:
                 reach |= found
-    failures = sorted(minors - reach, key=lambda N: _first_witness(M, N))
+    failures = sorted(minors - reach, key=lambda N: minor._first_witness(M, N))
     return len(minors), failures
 
 
@@ -194,10 +182,7 @@ class _Removal(_Record):
     """A single removal R = M\\v or M/v as the identity families use it:
     R\\w and R/w keyed by the element w, R's blocker and R's incidence graph."""
 
-    deleted: dict
-    contracted: dict
-    blocker: Clutter
-    graph: graphview.IncidenceGraph
+    __slots__ = ("deleted", "contracted", "blocker", "graph")
 
 
 _FAMILIES = (

@@ -32,10 +32,9 @@ class IncidenceGraph(_Record):
     elements, white vertices its rows, and each element is joined to the
     rows that contain it."""
 
-    black: frozenset  # element labels
-    white: frozenset  # row keys
-    edges: frozenset  # (element, row key) pairs
-    __slots__ = ("__dict__",)  # holds the cached_property maps below
+    # black: the element labels; white: the row keys; edges: the (element,
+    # row key) pairs; __dict__ holds the cached _neighbours map
+    __slots__ = ("black", "white", "edges", "__dict__")
 
     @cached_property
     def _neighbours(self) -> dict:
@@ -51,18 +50,12 @@ class IncidenceGraph(_Record):
             adj[(WHITE, w)].add((BLACK, v))
         return {x: frozenset(ns) for x, ns in adj.items()}
 
-    @cached_property
-    def _black_neighbourhoods(self) -> dict:
-        """Each black vertex mapped to its open neighbourhood."""
-        return {v: self._neighbours[(BLACK, v)] for v in self.black}
-
 
 class Neighbourhood(_Record):
     """A vertex of an incidence graph with its open and closed neighbourhoods."""
 
-    center: Vertex
-    open: frozenset  # adjacent vertices, center excluded
-    closed: frozenset  # open plus the center
+    # center: a tagged Vertex; open: its adjacent vertices; closed: open | {center}
+    __slots__ = ("center", "open", "closed")
 
 
 def incidence_graph(M: Clutter) -> IncidenceGraph:
@@ -178,9 +171,9 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
 def twins(G: IncidenceGraph, v: str) -> frozenset:
     """All black vertices other than v with the same open neighbourhood."""
     _require_black(G, v)
-    adj = G._black_neighbourhoods
-    mine = adj[v]
-    return frozenset(u for u, ns in adj.items() if u != v and ns == mine)
+    adj = G._neighbours
+    mine = adj[(BLACK, v)]
+    return frozenset(u for u in G.black if u != v and adj[(BLACK, u)] == mine)
 
 
 def contract_twin(M: Clutter, v: str) -> Clutter:
@@ -197,8 +190,8 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
 
 def minimal_black_vertices(G: IncidenceGraph) -> frozenset:
     """Black vertices whose open neighbourhood properly contains no other's."""
-    adj = G._black_neighbourhoods
-    return frozenset(v for v, ns in adj.items() if not any(ws < ns for ws in adj.values()))
+    hoods = [G._neighbours[(BLACK, v)] for v in G.black]
+    return frozenset(v for v, ns in zip(G.black, hoods) if not any(ws < ns for ws in hoods))
 
 
 def good_components(G: IncidenceGraph, u: str) -> list:

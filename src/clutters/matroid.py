@@ -22,8 +22,7 @@ from .errors import BadRank, CircuitAxiomViolation, GroundOverlap, ParseError
 class CircuitMatroid(_Record):
     """A matroid given by its ground set and its family of circuits."""
 
-    ground: frozenset
-    circuits: frozenset
+    __slots__ = ("ground", "circuits")
 
 
 def _valid_family(ground: Iterable[str], circuits: Iterable[Iterable[str]]) -> CircuitMatroid:

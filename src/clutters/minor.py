@@ -104,3 +104,14 @@ def all_minors(M: Clutter) -> Iterator[tuple]:
     ):
         spec = _spec_for(elems, assignment)
         yield spec, apply_minor(M, spec)
+
+
+def _first_witness(M: Clutter, N: Clutter) -> tuple:
+    """The first assignment in all_minors order that turns M into its minor
+    N: N keeps E(N), and has_minor's witness is the first split of the rest.
+    As a sort key it puts M's minors in all_minors order."""
+    deletes = has_minor(M, N).deletes
+    return tuple(
+        _KEEP if e in N.ground else _DELETE if e in deletes else _CONTRACT
+        for e in sorted(M.ground)
+    )

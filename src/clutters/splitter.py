@@ -21,16 +21,13 @@ class SplitterStep(_Record):
     """One step of a splitter chain: the element deleted or contracted, and
     the clutter it leaves."""
 
-    element: str
-    op: str  # DELETE or CONTRACT
-    result: Clutter
+    __slots__ = ("element", "op", "result")  # op is DELETE or CONTRACT
 
 
 class SplitterChain(_Record):
     """A clutter and the splitter steps taken from it, in order."""
 
-    start: Clutter
-    steps: tuple
+    __slots__ = ("start", "steps")
 
     @property
     def final(self) -> Clutter:
@@ -224,8 +221,8 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
     G = graphview.incidence_graph(M)
     out.append("")
     out.append("incidence graph analysis of M:")
-    minimal = sorted(graphview.minimal_black_vertices(G))
-    out.append("  minimal black vertices: " + (" ".join(minimal) or "-"))
+    minimal = core._members(graphview.minimal_black_vertices(G))
+    out.append("  minimal black vertices: " + minimal)
     twin_lines = []
     for v in sorted(G.black):
         mates = sorted(graphview.twins(G, v))

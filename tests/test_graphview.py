@@ -221,6 +221,12 @@ class TestNeighbourMap:
         assert repr(used) == repr(fresh)
         assert len({used, fresh}) == 1
 
+    def test_twins_and_minimal_vertices_cache_only_the_neighbour_map(self):
+        G = incidence_graph(PATH)
+        twins(G, "1")
+        minimal_black_vertices(G)
+        assert set(vars(G)) == {"_neighbours"}
+
     def test_agrees_with_edge_scans_everywhere(self):
         for n in range(5):
             for M in enumerate_clutters(n):
