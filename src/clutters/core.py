@@ -9,6 +9,7 @@ operations preserve the antichain property, and their order never matters.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from operator import attrgetter
 
@@ -158,7 +159,7 @@ def new_clutter(ground: Iterable[str], rows: Iterable[Iterable[str]]) -> Clutter
     """
     labels = [_check_label(e) for e in ground]
     if len(labels) != len(set(labels)):
-        dupes = sorted({e for e in labels if labels.count(e) > 1})
+        dupes = sorted(e for e, count in Counter(labels).items() if count > 1)
         raise DuplicateLabel(f"duplicated labels: {' '.join(dupes)}")
     ground_set = frozenset(labels)
     row_sets = frozenset(frozenset(r) for r in rows)
@@ -184,31 +185,65 @@ def delete(M: Clutter, v: str) -> Clutter:
     return Clutter(M.ground - {v}, frozenset(A for A in M.rows if v not in A))
 
 
-def contract(M: Clutter, v: str) -> Clutter:
-    """Strip v from every row and keep the inclusion-minimal results.
+def _split(M: Clutter, v: str) -> tuple:
+    """(M's ground less v, the rows without v, the rows with v stripped of
+    it), from one pass over M's rows.  The rows without v are M\\v's rows,
+    and _minimal turns the two lists into M/v's rows."""
+    if v not in M.ground:
+        raise ElementNotFound(f"no element {v!r}")
+    vs = frozenset((v,))
+    kept, stripped = [], []
+    for A in M.rows:
+        if v in A:
+            stripped.append(A - vs)
+        else:
+            kept.append(A)
+    return M.ground - vs, kept, stripped
+
+
+def _minimal(kept: list, stripped: list) -> frozenset:
+    """The rows of M/v from _split's lists: the stripped rows and each
+    untouched row that contains no stripped row.
 
     The stripped rows (those that held v) form an antichain, and so do the
     untouched ones.  A stripped row A - {v} never contains an untouched row,
     which would then lie inside the row A.  So the only rows to drop are the
-    untouched ones that contain a stripped row.  When no row holds v the
+    untouched ones that contain a stripped row.
+    """
+    rows = set(stripped)
+    for A in kept:
+        for S in stripped:
+            if S <= A:
+                break
+        else:
+            rows.add(A)
+    return frozenset(rows)
+
+
+def contract(M: Clutter, v: str) -> Clutter:
+    """Strip v from every row and keep the inclusion-minimal results.
+
+    One pass splits M's rows into the untouched ones and the stripped ones,
+    and _minimal keeps the minimal rows among them.  When no row holds v the
     result shares M's rows object, whose hash is already cached.
     """
-    if v not in M.ground:
-        raise ElementNotFound(f"no element {v!r}")
-    vs = frozenset((v,))
-    ground = M.ground - vs
-    stripped = [A - vs for A in M.rows if v in A]
+    ground, kept, stripped = _split(M, v)
     if not stripped:
         return Clutter(ground, M.rows)
-    rows = set(stripped)
-    for A in M.rows:
-        if v not in A:
-            for S in stripped:
-                if S <= A:
-                    break
-            else:
-                rows.add(A)
-    return Clutter(ground, frozenset(rows))
+    return Clutter(ground, _minimal(kept, stripped))
+
+
+def _removals(M: Clutter, v: str) -> tuple:
+    """(M\\v, M/v), equal to (delete(M, v), contract(M, v)), from one check
+    of v and one pass over M's rows: the untouched rows are M\\v's rows, and
+    _minimal finishes M/v from them and the stripped ones.  When no row
+    holds v the two removals are one clutter, which shares M's rows object.
+    """
+    ground, kept, stripped = _split(M, v)
+    if not stripped:
+        R = Clutter(ground, M.rows)
+        return R, R
+    return Clutter(ground, frozenset(kept)), Clutter(ground, _minimal(kept, stripped))
 
 
 def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:

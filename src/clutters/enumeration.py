@@ -108,7 +108,8 @@ def _connected_minors(C: Clutter, memo: dict) -> tuple:
     itself included if it is connected.
 
     Every proper minor of C is a minor of a single removal, so
-    S(C) = ({C} if C is connected) | the S of each C\\v and C/v.  memo maps
+    S(C) = ({C} if C is connected) | the S of each C\\v and C/v, which
+    core._removals builds together from one pass over C's rows.  memo maps
     each clutter's (ground, rows) pair to its entry, so each clutter's S and
     connectivity are computed once per memo.  The key is a tuple of the
     clutter's two frozensets, which hash and compare in C, not through
@@ -122,8 +123,8 @@ def _connected_minors(C: Clutter, memo: dict) -> tuple:
     if entry is None:
         found = set()
         for v in C.ground:
-            found |= _connected_minors(core.delete(C, v), memo)[1]
-            found |= _connected_minors(core.contract(C, v), memo)[1]
+            for R in core._removals(C, v):
+                found |= _connected_minors(R, memo)[1]
         connected = core.is_connected(C)
         if connected:
             found.add(C)
@@ -145,12 +146,13 @@ def _splitter_failures(M: Clutter, memo: dict) -> tuple:
     M's connected proper minors are the union of S(R) over its single
     removals R (see _connected_minors), and N passes iff N is in S(R) for a
     connected R.  So the failures are that union less the union over the
-    connected R, found with no per-pair test.  memo is _connected_minors'
-    memo, shared across the M of one run.
+    connected R, found with no per-pair test.  Each element's pair M\\v, M/v
+    comes from one core._removals call.  memo is _connected_minors' memo,
+    shared across the M of one run.
     """
     minors, reach = set(), set()
     for v in M.ground:
-        for R in (core.delete(M, v), core.contract(M, v)):
+        for R in core._removals(M, v):
             connected, found = _connected_minors(R, memo)
             minors |= found
             if connected:

@@ -313,6 +313,22 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_many_labels_with_repeats_is_prompt_domain_error(self, write):
+        # the repeats are found in one pass over the labels, not one per label
+        labels = [f"x{i}" for i in range(100_000)] + ["x77", "x123"]
+        path = write("elements " + " ".join(labels) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "clutters.cli", "show", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: duplicated labels: x123 x77\n"
+
     def test_identities_beyond_n4_is_domain_error(self, capsys):
         # without --theorem the identity families run too, and they stop at n=4
         assert main(["verify", "--n", "5"]) == 2

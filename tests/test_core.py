@@ -100,19 +100,23 @@ class TestDelete:
     def test_missing_element(self):
         with pytest.raises(ElementNotFound):
             delete(C("1"), "2")
+        with pytest.raises(ElementNotFound):
+            core._removals(C("1"), "2")
 
     def test_matches_row_filter_exhaustive(self):
+        # _removals builds M\v beside M/v, so it meets the same oracle
         checked = 0
         for n in range(6):
             for M in enumerate_clutters(n):
                 for v in M.ground:
                     assert delete(M, v) == naive_delete(M, v), (M, v)
+                    assert core._removals(M, v)[0] == naive_delete(M, v), (M, v)
                 checked += 1
         assert checked == 7780
 
 
 class TestContractCases:
-    """contract over every clutter on n <= 5 and every element v."""
+    """contract and _removals over every clutter on n <= 5 and every element v."""
 
     @staticmethod
     def cases():
@@ -124,9 +128,13 @@ class TestContractCases:
     def test_element_in_no_row_shares_the_rows(self):
         checked = 0
         for M, v in self.cases():
+            deleted, contracted = core._removals(M, v)
             if not any(v in A for A in M.rows):
                 assert contract(M, v).rows is M.rows
+                assert deleted.rows is M.rows and contracted.rows is M.rows
                 checked += 1
+            else:
+                assert deleted.rows is not M.rows and contracted.rows is not M.rows
         assert checked == 946
 
     def test_singleton_row_contracts_to_the_empty_row(self):
@@ -134,6 +142,7 @@ class TestContractCases:
         for M, v in self.cases():
             if F({v}) in M.rows:
                 assert contract(M, v) == Clutter(M.ground - {v}, F({F()}))
+                assert core._removals(M, v)[1] == contract(M, v)
                 checked += 1
         assert checked == 931
 
@@ -152,6 +161,8 @@ class TestContract:
     def test_missing_element(self):
         with pytest.raises(ElementNotFound):
             contract(C("1", "1"), "2")
+        with pytest.raises(ElementNotFound):
+            core._removals(C("1", "1"), "2")
 
     def test_matches_pairwise_filter_exhaustive(self):
         checked = 0
@@ -159,6 +170,8 @@ class TestContract:
             for M in enumerate_clutters(n):
                 for v in M.ground:
                     assert contract(M, v) == naive_contract(M, v), (M, v)
+                    removals = (naive_delete(M, v), naive_contract(M, v))
+                    assert core._removals(M, v) == removals, (M, v)
                 checked += 1
         assert checked == 7780
 
@@ -172,6 +185,7 @@ class TestContract:
         M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
         v = data.draw(st.sampled_from(labels), label="v")
         assert contract(M, v) == naive_contract(M, v)
+        assert core._removals(M, v) == (naive_delete(M, v), naive_contract(M, v))
 
 
 class TestApplyMinor:

@@ -456,6 +456,26 @@ class TestVerifyIdentities:
         assert calls["graphs"] <= 168 + 80
         assert calls["blockers"] <= 168 + 80
 
+    @pytest.mark.parametrize("n,pairs", [(3, 54), (4, 648)])
+    def test_theorem_builds_each_removal_pair_in_one_call(self, n, pairs, monkeypatch):
+        # unlike the identity verifier, the theorem verifier takes M\v and
+        # M/v from one _removals call per (clutter, element) pair it visits
+        calls = {"_removals": 0, "delete": 0, "contract": 0}
+
+        def counted(name):
+            real = getattr(core, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counted(name))
+        verify_theorem(n)
+        assert calls == {"_removals": pairs, "delete": 0, "contract": 0}
+
     def test_traced_peak_memory_bounded(self):
         verify_identities(4)  # any lazily built module state is not the run's
         tracemalloc.start()
