@@ -185,20 +185,21 @@ def delete(M: Clutter, v: str) -> Clutter:
     return Clutter(M.ground - {v}, frozenset(A for A in M.rows if v not in A))
 
 
-def _split(M: Clutter, v: str) -> tuple:
-    """(M's ground less v, the rows without v, the rows with v stripped of
-    it), from one pass over M's rows.  The rows without v are M\\v's rows,
-    and _minimal turns the two lists into M/v's rows."""
-    if v not in M.ground:
+def _split(ground: frozenset, rows: frozenset, v: str) -> tuple:
+    """(the ground less v, the rows without v, the rows with v stripped of
+    it), from one pass over the rows of the clutter (ground, rows).  The
+    rows without v are its deletion's rows, and _minimal turns the two lists
+    into its contraction's rows."""
+    if v not in ground:
         raise ElementNotFound(f"no element {v!r}")
     vs = frozenset((v,))
     kept, stripped = [], []
-    for A in M.rows:
+    for A in rows:
         if v in A:
             stripped.append(A - vs)
         else:
             kept.append(A)
-    return M.ground - vs, kept, stripped
+    return ground - vs, kept, stripped
 
 
 def _minimal(kept: list, stripped: list) -> frozenset:
@@ -227,23 +228,25 @@ def contract(M: Clutter, v: str) -> Clutter:
     and _minimal keeps the minimal rows among them.  When no row holds v the
     result shares M's rows object, whose hash is already cached.
     """
-    ground, kept, stripped = _split(M, v)
+    ground, kept, stripped = _split(M.ground, M.rows, v)
     if not stripped:
         return Clutter(ground, M.rows)
     return Clutter(ground, _minimal(kept, stripped))
 
 
-def _removals(M: Clutter, v: str) -> tuple:
-    """(M\\v, M/v), equal to (delete(M, v), contract(M, v)), from one check
-    of v and one pass over M's rows: the untouched rows are M\\v's rows, and
+def _removals(ground: frozenset, rows: frozenset, v: str) -> tuple:
+    """The (ground, rows) pairs of M\\v and M/v for the clutter M = (ground,
+    rows), equal to those of delete(M, v) and contract(M, v), from one check
+    of v and one pass over the rows: the untouched rows are M\\v's rows, and
     _minimal finishes M/v from them and the stripped ones.  When no row
-    holds v the two removals are one clutter, which shares M's rows object.
+    holds v the two pairs are one, which shares M's rows object.  No clutter
+    is built, so a caller that only looks the pairs up pays for none.
     """
-    ground, kept, stripped = _split(M, v)
+    rest, kept, stripped = _split(ground, rows, v)
     if not stripped:
-        R = Clutter(ground, M.rows)
-        return R, R
-    return Clutter(ground, frozenset(kept)), Clutter(ground, _minimal(kept, stripped))
+        key = (rest, rows)
+        return key, key
+    return (rest, frozenset(kept)), (rest, _minimal(kept, stripped))
 
 
 def apply_minor(M: Clutter, spec: MinorSpec) -> Clutter:

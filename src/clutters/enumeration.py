@@ -103,76 +103,98 @@ class VerificationReport(_Record):
         return sum(len(r.counterexamples) for r in self.results)
 
 
-def _connected_minors(C: Clutter, memo: dict) -> tuple:
-    """(C is connected, S(C)), where S(C) is every connected minor of C, C
-    itself included if it is connected.
+def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
+    """(C is connected, S(C)) for the clutter C whose (ground, rows) pair is
+    key, where S(C) is every connected minor of C, C itself included if it
+    is connected.  S(C) is an int bitset over members: bit i stands for
+    members[i], the run's i-th connected minor in first-met order.
 
     Every proper minor of C is a minor of a single removal, so
-    S(C) = ({C} if C is connected) | the S of each C\\v and C/v, which
-    core._removals builds together from one pass over C's rows.  memo maps
-    each clutter's (ground, rows) pair to its entry, so each clutter's S and
-    connectivity are computed once per memo.  The key is a tuple of the
-    clutter's two frozensets, which hash and compare in C, not through
-    Clutter's Python-level methods; and S(C) holds the first Clutter object
-    met for each value, so the sets' unions match their members by identity.
-    memo is a plain dict because a recursive closure under functools.cache
-    is a reference cycle, which only the cycle collector frees.
+    S(C) = ({C} if C is connected) | the S of each C\\v and C/v, whose keys
+    core._removals gives together from one pass over C's rows.  memo maps
+    each key to its entry, so each clutter's S and connectivity are computed
+    once per memo, and a Clutter is built only on a miss, for
+    core.is_connected; a connected one takes the next bit.  The key's two
+    frozensets hash and compare in C, not through Clutter's Python-level
+    methods, and the unions are int ors.  memo is a plain dict because a
+    recursive closure under functools.cache is a reference cycle, which
+    only the cycle collector frees.
     """
-    key = (C.ground, C.rows)
     entry = memo.get(key)
     if entry is None:
-        found = set()
-        for v in C.ground:
-            for R in core._removals(C, v):
-                found |= _connected_minors(R, memo)[1]
+        ground, rows = key
+        bits = 0
+        for v in ground:
+            for R in core._removals(ground, rows, v):
+                bits |= _connected_minors(R, memo, members)[1]
+        C = Clutter(ground, rows)
         connected = core.is_connected(C)
         if connected:
-            found.add(C)
-        entry = memo[key] = (connected, frozenset(found))
+            bits |= 1 << len(members)
+            members.append(C)
+        entry = memo[key] = (connected, bits)
     return entry
+
+
+def _removal_minors(M: Clutter, memo: dict, members: list) -> tuple:
+    """(the union of S(R) over M's single removals R, the union over the
+    connected R), as bitsets over members: M's connected proper minors, and
+    those that are a minor of a connected single removal.  Each element's
+    pair M\\v, M/v comes from one core._removals call."""
+    minors = reach = 0
+    for v in M.ground:
+        for R in core._removals(M.ground, M.rows, v):
+            connected, bits = _connected_minors(R, memo, members)
+            minors |= bits
+            if connected:
+                reach |= bits
+    return minors, reach
+
+
+def _in_witness_order(M: Clutter, bits: int, members: list) -> list:
+    """The members that bits stands for, as M's minors in first-witness order."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(members[low.bit_length() - 1])
+        bits ^= low
+    return sorted(found, key=lambda N: minor._first_witness(M, N))
 
 
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    minors = _connected_minors(M, {})[1] - {M}
-    return sorted(minors, key=lambda N: minor._first_witness(M, N))
+    members = []
+    minors, _ = _removal_minors(M, {}, members)
+    return _in_witness_order(M, minors, members)
 
 
-def _splitter_failures(M: Clutter, memo: dict) -> tuple:
+def _splitter_failures(M: Clutter, memo: dict, members: list) -> tuple:
     """(tested, failures) for a connected clutter M: tested counts M's
     connected proper minors N, and failures lists, in first-witness order,
     those for which no single removal R of M is connected with N as a minor.
 
-    M's connected proper minors are the union of S(R) over its single
-    removals R (see _connected_minors), and N passes iff N is in S(R) for a
-    connected R.  So the failures are that union less the union over the
-    connected R, found with no per-pair test.  Each element's pair M\\v, M/v
-    comes from one core._removals call.  memo is _connected_minors' memo,
-    shared across the M of one run.
+    N passes iff N is in S(R) for a connected R, so the failures are
+    _removal_minors' first union less its second, found with no per-pair
+    test.  memo and members are _connected_minors', shared across the M of
+    one run.
     """
-    minors, reach = set(), set()
-    for v in M.ground:
-        for R in core._removals(M, v):
-            connected, found = _connected_minors(R, memo)
-            minors |= found
-            if connected:
-                reach |= found
-    failures = sorted(minors - reach, key=lambda N: minor._first_witness(M, N))
-    return len(minors), failures
+    minors, reach = _removal_minors(M, memo, members)
+    return minors.bit_count(), _in_witness_order(M, minors & ~reach, members)
 
 
 def verify_theorem(n: int) -> VerificationReport:
     """Check the splitter property on every connected clutter M on exactly n
     labeled elements against each of its connected proper minors N (see
     _splitter_failures).  One memo lives for the call and holds the entry
-    of each clutter on n-1 or fewer elements that occurs.
+    of each clutter on n-1 or fewer elements that occurs, and members the
+    connected ones, which the memo's bitsets index.
     """
-    memo = {}
+    memo, members = {}, []
     tested = 0
     failures = []
     for M in enumerate_clutters(n):
         if core.is_connected(M):
-            count, failed = _splitter_failures(M, memo)
+            count, failed = _splitter_failures(M, memo, members)
             tested += count
             failures += [f"M=({_inline(M)})  N=({_inline(N)})" for N in failed]
     passed = tested - len(failures)

@@ -17,7 +17,7 @@ from clutters.enumeration import (
     enumerate_clutters,
     enumerate_connected,
 )
-from clutters.minor import has_minor
+from clutters.minor import all_minors, has_minor
 
 F = frozenset
 
@@ -132,6 +132,39 @@ def naive_separation(M):
         if all(A <= left or A <= right for A in M.rows):
             return Separation(left, right)
     return None
+
+
+def connected_rows(labels, rows):
+    """A connected antichain on labels built from the antichain rows of
+    nonempty sets: each element in no row joins the first row, then, while a
+    separation splits the ground, one row from each side merge into their
+    union.  A row inside the union lies inside one of the two, so the rows
+    stay an antichain."""
+    rows = list(rows) or [F(labels)]
+    rows[0] = rows[0].union(set(labels).difference(*rows))
+    while (sep := naive_separation(core.new_clutter(labels, rows))) is not None:
+        A = next(R for R in rows if R <= sep.left)
+        B = next(R for R in rows if R <= sep.right)
+        rows = [R for R in rows if R not in (A, B)] + [A | B]
+    return core.new_clutter(labels, rows)
+
+
+def naive_splitter_failures(M):
+    """(tested, failures) of the splitter property for a connected M by
+    brute force: tested counts M's connected proper minors, met through
+    all_minors, and failures lists, in all_minors order, those that no
+    connected single removal of M has among its all_minors."""
+    proper = [
+        N
+        for N in dict.fromkeys(N for _, N in all_minors(M))
+        if N.ground != M.ground and naive_separation(N) is None
+    ]
+    removals = [f(M, v) for v in M.ground for f in (naive_delete, naive_contract)]
+    reach = set()
+    for R in removals:
+        if naive_separation(R) is None:
+            reach.update(N for _, N in all_minors(R))
+    return len(proper), [N for N in proper if N not in reach]
 
 
 def frozen_parts(part):

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import naive_clutters, naive_identity_report, predicted_counterexamples
+from helpers import (
+    connected_rows,
+    naive_clutters,
+    naive_identity_report,
+    naive_splitter_failures,
+    predicted_counterexamples,
+)
 from clutters import core, enumeration, graphview, minor
 from clutters.blocker import blocker
 from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
@@ -287,13 +293,35 @@ class TestVerifyTheorem:
 
     def test_shared_memo_does_not_leak_between_clutters(self):
         # one memo across every clutter at n<=4, connected or not, walked
-        # forwards and then again backwards once it holds every other S(C)
-        memo = {}
+        # forwards and then again backwards once it holds every other S(C);
+        # bit i of an entry's bitset stands for members[i]
+        memo, members = {}, []
         clutters = [C for n in range(5) for C in enumerate_clutters(n)]
         oracle = {C: {N for _, N in all_minors(C) if is_connected(N)} for C in clutters}
         for C in clutters + clutters[::-1]:
-            connected = helpers.naive_separation(C) is None
-            assert _connected_minors(C, memo) == (connected, oracle[C])
+            connected, bits = _connected_minors((C.ground, C.rows), memo, members)
+            assert bits >> len(members) == 0
+            found = {N for i, N in enumerate(members) if bits >> i & 1}
+            assert connected == (helpers.naive_separation(C) is None)
+            assert found == oracle[C]
+        assert len(set(members)) == len(members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_splitter_failures_match_oracle_on_six_labels(self, data):
+        # past the enumeration cap, the per-M routine meets a brute-force
+        # oracle in its count and in its ordered failure list; the closed
+        # form's clutters are drawn too, so that some failure lists are not
+        # empty
+        if data.draw(st.booleans(), label="closed form"):
+            M, _ = data.draw(st.sampled_from(predicted_counterexamples(6)), label="M")
+        else:
+            labels = [str(i + 1) for i in range(6)]
+            row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=5)
+            drawn = set(data.draw(st.lists(row, max_size=10), label="rows"))
+            M = connected_rows(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        expected = naive_splitter_failures(M)
+        assert enumeration._splitter_failures(M, {}, []) == expected
 
     @pytest.mark.parametrize("n,calls", [(3, 9), (4, 16)])
     def test_has_minor_called_once_per_counterexample(self, n, calls, monkeypatch):
@@ -304,10 +332,12 @@ class TestVerifyTheorem:
 
     def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
         # the memo keys on (ground, rows) and stores each clutter's flag, so
-        # no Clutter.__eq__ runs (1,438 calls with Clutter keys), and
-        # is_connected runs once per clutter at n=4 and once per memo entry
-        calls = {"eq": 0, "is_connected": 0}
+        # no Clutter.__eq__ runs (1,438 calls with Clutter keys), is_connected
+        # runs once per clutter at n=4 and once per memo entry, and a Clutter
+        # is built for each of the 168 M and each memo miss, not per removal
+        calls = {"eq": 0, "is_connected": 0, "Clutter": 0}
         real_eq, real_connected = Clutter.__eq__, core.is_connected
+        real_init = Clutter.__init__
 
         def counted_eq(a, b):
             calls["eq"] += 1
@@ -317,15 +347,21 @@ class TestVerifyTheorem:
             calls["is_connected"] += 1
             return real_connected(M)
 
-        memo = {}
+        def counted_init(self, ground, rows):
+            calls["Clutter"] += 1
+            real_init(self, ground, rows)
+
+        memo, members = {}, []
         for M in enumerate_connected(4):
-            enumeration._splitter_failures(M, memo)
-        assert len(memo) == 126
+            enumeration._splitter_failures(M, memo, members)
+        # the 40 connected clutters on 3 or fewer of the 4 labels
+        assert (len(memo), len(members)) == (126, 40)
         monkeypatch.setattr(Clutter, "__eq__", counted_eq)
         monkeypatch.setattr(core, "is_connected", counted_connected)
+        monkeypatch.setattr(Clutter, "__init__", counted_init)
         (result,) = verify_theorem(4).results
         assert result.tested == 1806
-        assert calls == {"eq": 0, "is_connected": 168 + 126}
+        assert calls == {"eq": 0, "is_connected": 168 + 126, "Clutter": 168 + 126}
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])

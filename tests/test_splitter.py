@@ -39,6 +39,7 @@ from clutters.splitter import (
 )
 from helpers import (
     all_subsets,
+    connected_rows,
     naive_candidate_elements,
     naive_chain_steps,
     naive_separation,
@@ -370,21 +371,6 @@ class TestCandidateOrder:
         pool = st.sampled_from(sorted(M.ground)) if M.ground else st.nothing()
         N = new_clutter(data.draw(st.frozensets(pool), label="keep"), [])
         assert candidate_elements(M, N) == naive_candidate_elements(M, N)
-
-
-def connected_rows(labels, rows):
-    """A connected antichain on labels built from the antichain rows of
-    nonempty sets: each element in no row joins the first row, then, while a
-    separation splits the ground, one row from each side merge into their
-    union.  A row inside the union lies inside one of the two, so the rows
-    stay an antichain."""
-    rows = list(rows) or [F(labels)]
-    rows[0] = rows[0].union(set(labels).difference(*rows))
-    while (sep := naive_separation(new_clutter(labels, rows))) is not None:
-        A = next(R for R in rows if R <= sep.left)
-        B = next(R for R in rows if R <= sep.right)
-        rows = [R for R in rows if R not in (A, B)] + [A | B]
-    return new_clutter(labels, rows)
 
 
 def wide_pair(data):
