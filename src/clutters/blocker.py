@@ -1,7 +1,7 @@
 """Blockers: the clutter of inclusion-minimal transversals.
 
 The blocker lives on the same ground set and its rows are the minimal sets
-meeting every row of the source.  Blocking is an involution, and it swaps
+that meet every row of the source.  Blocking is an involution, and it swaps
 deletion with contraction.  Two degenerate cases fall straight out of the
 definition: a clutter with no rows blocks to the single empty row, and a
 clutter whose sole row is empty blocks to no rows at all.
@@ -49,14 +49,15 @@ def _encode(M: Clutter) -> tuple[dict, list]:
 def blocker(M: Clutter) -> Clutter:
     """The blocker of M, computed by incremental row-by-row dualization.
 
-    Maintains the minimal transversals of the rows processed so far.  A new
-    row A keeps the partial transversals already meeting it and extends each
-    other one, t, to t | {a} for every a in A.  Nothing kept is dominated, and
-    no two new candidates dominate each other.  t | {a} meets A only in a, so
-    it is dominated exactly when it contains a kept set that meets A only in
-    a.  One pass over the partial transversals splits off the missed ones and
-    indexes the kept ones that meet A once, by that element, and each
-    candidate is tested only against the index entry for its a.
+    Maintains one family, the minimal transversals of the rows processed so
+    far, in place.  A new row A keeps the partial transversals that already
+    hit it and replaces each other one, t, by t | {a} for every a in A.
+    Nothing kept is dominated, and no two candidates dominate each other.
+    t | {a} meets A only in a, so it is dominated exactly when it contains a
+    kept set that meets A only in a, and it is tested against just those.
+    Written back, it overwrites nothing: a kept set equal to it would meet A
+    only in a and dominate it, and t | {a} = t' | {a'} with a != a' would put
+    a' in t, which misses A.
 
     Every test runs on integer masks private to the call (`_encode`): a
     meet is `&`, a single hit is a mask with one bit, and containment is
@@ -74,24 +75,22 @@ def blocker(M: Clutter) -> Clutter:
             bit, single = code[a]
             held = holders[bit] = []
             extend.append((bit, single, held))
-        missed, meeting = [], {}
-        for t, row in partial.items():
+        missed = []
+        for t in partial:
             hit = t & mask
             if not hit:
-                missed.append((t, row))
-                continue
-            meeting[t] = row
-            if not hit & (hit - 1):
+                missed.append(t)
+            elif not hit & (hit - 1):
                 holders[hit].append(t)
-        for t, row in missed:
+        for t in missed:
+            row = partial.pop(t)
             for bit, single, held in extend:
                 c = t | bit
                 for k in held:
                     if k & c == k:
                         break
                 else:
-                    meeting[c] = row | single
-        partial = meeting
+                    partial[c] = row | single
     # frozenset() of a set sizes its table once, for the set's size; grown
     # row by row from the values, a table of 5 to 7 rows is twice as large,
     # and hashing and comparing the clutter scan the whole table

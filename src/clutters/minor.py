@@ -8,6 +8,7 @@ turns M into exactly N.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from collections.abc import Iterator
 
 from .core import Clutter, MinorSpec, apply_minor
@@ -45,9 +46,9 @@ def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
     kept, targets = N.ground, N.rows
     if targets <= M.rows and targets == {A for A in M.rows if A <= kept}:
         return MinorSpec(M.ground - kept, frozenset())
-    by_trace = {}
+    by_trace = defaultdict(list)
     for A in M.rows:
-        by_trace.setdefault(A & kept, []).append(A)
+        by_trace[A & kept].append(A)
     if not targets <= by_trace.keys():
         return None
     # a trace no longer than every row of N holds one only by being it
@@ -60,7 +61,7 @@ def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
             if t not in M.rows:  # else the row t itself, never deleted, traces it
                 need += 1
                 sources += [(A, t) for A in rows]
-        elif len(t) <= shortest or not any(R <= t for R in targets):
+        elif len(t) <= shortest or not any(map(t.issuperset, targets)):
             if t in M.rows:  # a bad row inside E(N): no deletion meets it
                 return None
             bad += rows
@@ -80,7 +81,7 @@ def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
             i, deletes, alive = untried.pop()
             # each bad row must meet a deletion or a still undecided element
             reach = deletes.union(removed[i + 1 :])
-            if all(not reach.isdisjoint(A) for A in bad):
+            if not any(map(reach.isdisjoint, bad)):
                 i += 1
                 break
         else:

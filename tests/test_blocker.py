@@ -1,6 +1,8 @@
 """Blocker computation and the duality identities."""
 
+import importlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from clutters.blocker import _encode, blocker, blocker_by_enumeration, is_transversal
 from clutters.core import Clutter, contract, delete, new_clutter, row_sort_key
 from clutters.enumeration import enumerate_clutters
-from clutters.errors import ForeignElement
+from clutters.errors import ForeignElement, TooLarge
 from clutters.matroid import circuits_clutter, uniform
 from helpers import frozenset_blocker
 
@@ -104,6 +106,35 @@ class TestBothRoutesAgree:
         drawn = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
         M = new_clutter(labels, antichain(drawn))
         assert blocker(M) == frozenset_blocker(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sampled_dense_uniform_rows(self, data):
+        # at least 20 of the k-subsets of 8 to 11 labels: most rows miss only
+        # a few partial transversals, so nearly every one is carried over
+        # unchanged while the missed ones are replaced in the same family
+        n = data.draw(st.integers(min_value=8, max_value=11), label="n")
+        k = data.draw(st.integers(min_value=2, max_value=4), label="k")
+        labels = [str(i + 1) for i in range(n)]
+        subsets = [F(c) for c in itertools.combinations(labels, k)]
+        drawn = data.draw(st.lists(st.sampled_from(subsets), min_size=20, unique=True), label="rows")
+        row = st.frozensets(st.sampled_from(labels), min_size=1, max_size=n - 1)
+        drawn += data.draw(st.lists(row, max_size=3), label="other rows")
+        M = new_clutter(labels, antichain(drawn))
+        assert blocker(M) == blocker_by_enumeration(M)
+
+    def test_enumeration_limit(self, monkeypatch):
+        # 20 elements are scanned at every size 0..20, 21 are refused; the
+        # 2^20 subsets themselves are not built, only the sizes are recorded
+        sizes = []
+        scan = SimpleNamespace(combinations=lambda elems, r: sizes.append((len(elems), r)) or ())
+        monkeypatch.setattr(importlib.import_module("clutters.blocker"), "itertools", scan)
+        labels = [str(i + 1) for i in range(21)]
+        M = C(labels[:20], labels[:20])
+        assert blocker_by_enumeration(M) == Clutter(M.ground, F())
+        assert sizes == [(20, r) for r in range(21)]
+        with pytest.raises(TooLarge):
+            blocker_by_enumeration(C(labels, labels))
 
     def test_frozenset_oracle_exhaustive_small(self):
         for n in range(5):

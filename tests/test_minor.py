@@ -1,6 +1,7 @@
 """Labeled minor containment against a sequential-ordering oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,27 @@ class TestTraceSearch:
             assert witness == naive_has_minor(M, N), (M, N)
             if witness is not None:
                 assert apply_minor(M, witness) == N
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_uniform_large_seeded(self, n):
+        # U(3,10) and U(3,11): many rows share each trace, and the bad-row
+        # test runs at every backtrack
+        rng = random.Random(n)
+        labels = labels_of(n)
+        M = circuits_clutter(uniform(3, n, labels))
+        for k in (5, 6):
+            targets = miss_candidates(rng.sample(labels, k))
+            for c in range(4):
+                keep = rng.sample(labels, k)
+                removed = [v for v in labels if v not in keep]
+                rng.shuffle(removed)
+                targets.append(apply_minor(M, MinorSpec(F(removed[c:]), F(removed[:c]))))
+            witnesses = [has_minor(M, N) for N in targets]
+            assert [w is None for w in witnesses] == [True] * 2 + [False] * 4
+            for N, witness in zip(targets, witnesses):
+                assert witness == naive_has_minor(M, N), (M, N)
+                if witness is not None:
+                    assert apply_minor(M, witness) == N
 
     @pytest.mark.parametrize(
         "spec",
