@@ -113,8 +113,8 @@ def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
     S(C) = ({C} if C is connected) | the S of each C\\v and C/v, whose keys
     core._removals gives together from one pass over C's rows.  memo maps
     each key to its entry, so each clutter's S and connectivity are computed
-    once per memo, and a Clutter is built only on a miss, for
-    core.is_connected; a connected one takes the next bit.  The key's two
+    once per memo.  core._spans tests the key itself, and a Clutter is built
+    only for a connected C, the member that takes the next bit.  The key's two
     frozensets hash and compare in C, not through Clutter's Python-level
     methods, and the unions are int ors.  memo is a plain dict because a
     recursive closure under functools.cache is a reference cycle, which
@@ -127,11 +127,10 @@ def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
         for v in ground:
             for R in core._removals(ground, rows, v):
                 bits |= _connected_minors(R, memo, members)[1]
-        C = Clutter(ground, rows)
-        connected = core.is_connected(C)
+        connected = core._spans(ground, rows)
         if connected:
             bits |= 1 << len(members)
-            members.append(C)
+            members.append(Clutter(ground, rows))
         entry = memo[key] = (connected, bits)
     return entry
 

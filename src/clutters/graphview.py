@@ -92,27 +92,25 @@ def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
     return Neighbourhood(vertex, open_, open_ | {vertex})
 
 
-def _graph_parts(G: IncidenceGraph) -> dict:
-    """core._parts of the graph's vertices, with one edge per white vertex
-    made of it and its black neighbours."""
+def _graph_edges(G: IncidenceGraph):
+    """The graph's edges over the vertices G._neighbours: one per white
+    vertex, made of it and its black neighbours."""
     adjacency = G._neighbours
-    return core._parts(adjacency, (adjacency[(WHITE, w)] | {(WHITE, w)} for w in G.white))
+    return (adjacency[(WHITE, w)] | {(WHITE, w)} for w in G.white)
 
 
 def components(G: IncidenceGraph) -> list:
     """Connected components as frozensets of tagged vertices, ordered by each
     part's least vertex."""
-    part = _graph_parts(G)
+    part = core._parts(G._neighbours, _graph_edges(G))
     # a dict keeps each part's first position; parts are lists, keyed by id
     met = {id(part[x]): part[x] for x in sorted(part, key=vertex_sort_key)}
     return [frozenset(members) for members in met.values()]
 
 
 def graph_connected(G: IncidenceGraph) -> bool:
-    """True iff the graph has at most one connected component: the first
-    vertex's part holds every vertex."""
-    part = _graph_parts(G)
-    return len(next(iter(part.values()), ())) == len(part)
+    """True iff the graph has at most one connected component."""
+    return core._spans(G._neighbours, _graph_edges(G))
 
 
 def graph_connected_iff_clutter_connected(M: Clutter) -> bool:

@@ -44,6 +44,7 @@ def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
     if not N.ground <= M.ground:
         return None
     kept, targets = N.ground, N.rows
+    # the all-delete first leaf; without it has_minor.hit ran 10-19% slower
     if targets <= M.rows and targets == {A for A in M.rows if A <= kept}:
         return MinorSpec(M.ground - kept, frozenset())
     by_trace = defaultdict(list)
@@ -51,7 +52,8 @@ def has_minor(M: Clutter, N: Clutter) -> MinorSpec | None:
         by_trace[A & kept].append(A)
     if not targets <= by_trace.keys():
         return None
-    # a trace no longer than every row of N holds one only by being it
+    # a trace no longer than every row of N holds one only by being it;
+    # without that length test has_minor.miss ran 4-10% slower
     shortest = min(map(len, targets), default=0)
     sources = []  # (row, trace) for the rows of N that a deletion can lose
     need = 0  # the number of those rows of N

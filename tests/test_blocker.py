@@ -194,7 +194,9 @@ class TestEncoding:
 
 class TestRowOrder:
     """`_encode` lists the rows in `row_sort_key` order.  The order changes
-    only speed, not the blocker: it keeps Berge's intermediate family small."""
+    only speed, not the blocker, but by much: it keeps Berge's intermediate
+    family small, and with the rows of one size in hash order
+    blocker.uniform on the large-inputs units ran 62-77% slower."""
 
     def test_exhaustive_small(self):
         for n in range(6):

@@ -64,14 +64,19 @@ class TestNewClutter:
     def test_antichain_violation(self):
         with pytest.raises(AntichainViolation):
             C("12", "1", "12")
+        # the containing row is not the last in row order, so the first row
+        # must be compared with every later one, not only the last
+        with pytest.raises(AntichainViolation, match=r"^row \{1\} is contained in \{1 2\}$"):
+            C("123", "1", "12", "23")
 
     def test_foreign_element(self):
         with pytest.raises(ForeignElement):
             C("12", "13")
 
     def test_duplicate_label(self):
-        with pytest.raises(DuplicateLabel):
-            new_clutter(["a", "b", "a"], [])
+        # the message names each repeated label once, and no other label
+        with pytest.raises(DuplicateLabel, match="^duplicated labels: a c$"):
+            new_clutter(["c", "a", "b", "a", "c"], [])
 
     # 'r:x' would share its name with the incidence-graph vertex of row {x}
     @pytest.mark.parametrize(

@@ -332,16 +332,21 @@ class TestVerifyTheorem:
 
     def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
         # the memo keys on (ground, rows) and stores each clutter's flag, so
-        # no Clutter.__eq__ runs (1,438 calls with Clutter keys), is_connected
-        # runs once per clutter at n=4 and once per memo entry, and a Clutter
-        # is built for each of the 168 M and each memo miss, not per removal
-        calls = {"eq": 0, "is_connected": 0, "Clutter": 0}
-        real_eq, real_connected = Clutter.__eq__, core.is_connected
+        # no Clutter.__eq__ runs (1,438 calls with Clutter keys).  core._spans
+        # runs once per clutter at n=4, through is_connected, and once per
+        # memo entry on the key itself; a Clutter is built for each of the
+        # 168 M and each connected memo entry, not per miss or per removal
+        calls = {"eq": 0, "_spans": 0, "is_connected": 0, "Clutter": 0}
+        real_eq, real_spans, real_connected = Clutter.__eq__, core._spans, core.is_connected
         real_init = Clutter.__init__
 
         def counted_eq(a, b):
             calls["eq"] += 1
             return real_eq(a, b)
+
+        def counted_spans(vertices, edges):
+            calls["_spans"] += 1
+            return real_spans(vertices, edges)
 
         def counted_connected(M):
             calls["is_connected"] += 1
@@ -357,11 +362,14 @@ class TestVerifyTheorem:
         # the 40 connected clutters on 3 or fewer of the 4 labels
         assert (len(memo), len(members)) == (126, 40)
         monkeypatch.setattr(Clutter, "__eq__", counted_eq)
+        monkeypatch.setattr(core, "_spans", counted_spans)
         monkeypatch.setattr(core, "is_connected", counted_connected)
         monkeypatch.setattr(Clutter, "__init__", counted_init)
         (result,) = verify_theorem(4).results
         assert result.tested == 1806
-        assert calls == {"eq": 0, "is_connected": 168 + 126, "Clutter": 168 + 126}
+        assert calls == {
+            "eq": 0, "_spans": 168 + 126, "is_connected": 168, "Clutter": 168 + 40
+        }
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])

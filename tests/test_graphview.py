@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import frozen_parts, naive_separation
 from clutters import core, graphview
 from clutters.core import contract, delete, find_separation, is_connected, new_clutter
-from clutters.enumeration import enumerate_clutters
+from clutters.enumeration import enumerate_clutters, verify_theorem
 from clutters.errors import NoTwin, NotBlack, NotMinimal, VertexNotFound
 from clutters.graphview import (
     BLACK,
@@ -157,6 +157,30 @@ class TestOneConnectivityRoutine:
             return real(vertices, edges)
 
         monkeypatch.setattr(core, "_parts", counted)
+        self.ASKS[name]()
+        assert calls
+
+
+class TestOneSpanningTest:
+    """Clutter connectivity, incidence-graph connectivity and the theorem
+    verifier's memo all answer "connected?" with core._spans."""
+
+    ASKS = {
+        "graph_connected": lambda: graph_connected(incidence_graph(PATH)),
+        "is_connected": lambda: is_connected(PATH),
+        "verify_theorem": lambda: verify_theorem(3),
+    }
+
+    @pytest.mark.parametrize("name", ASKS)
+    def test_reaches_spans(self, monkeypatch, name):
+        calls = []
+        real = core._spans
+
+        def counted(vertices, edges):
+            calls.append(vertices)
+            return real(vertices, edges)
+
+        monkeypatch.setattr(core, "_spans", counted)
         self.ASKS[name]()
         assert calls
 

@@ -7,10 +7,11 @@
 Each mutant changes one site of the module: a comparison (`<`/`<=`,
 `>`/`>=`, `==`/`!=`, `in`/`not in`, `is`/`is not`), `and`/`or`, `&`/`|`,
 `+`/`-` (also augmented), an integer constant n to n + 1, a dropped `not`,
-`any`/`all`, or a statement expression, `break` or `continue` replaced by
-`pass`.  Annotations are left alone.  The module is written back from its
-syntax tree (`ast.unparse`), so the unmutated rewrite runs first and must
-pass.
+`any`/`all`, a one-argument `x.pop(k)` read as the lookup `x[k]`, which
+leaves the entry in place, or a statement expression, `break` or
+`continue` replaced by `pass`.  Annotations are left alone.  The module is
+written back from its syntax tree (`ast.unparse`), so the unmutated rewrite
+runs first and must pass.
 
 All work happens in a copy of `src/`, `tests/`, `bench/` (which the tracer
 test reads) and `pyproject.toml` in a temporary directory; the checkout is
@@ -77,6 +78,10 @@ def alternatives(node):
         new = copy.deepcopy(node)
         new.func.id = QUANTIFIERS[node.func.id]
         yield new
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "pop" and len(node.args) == 1 and not node.keywords):
+        value, key = copy.deepcopy(node.func.value), copy.deepcopy(node.args[0])
+        yield ast.Subscript(value, key, ast.Load())
     elif isinstance(node, ast.Expr) and not isinstance(node.value, ast.Constant):
         yield ast.Pass()
     elif isinstance(node, (ast.Break, ast.Continue)):
