@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import core, graphview, minor
 from .blocker import blocker
@@ -203,7 +203,8 @@ def verify_theorem(n: int) -> VerificationReport:
 
 class _Removal(_Record):
     """A single removal R = M\\v or M/v as the identity families use it:
-    R\\w and R/w keyed by the element w, R's blocker and R's incidence graph."""
+    the (ground, rows) pairs of R\\w and R/w keyed by the element w, the
+    (ground, rows) pair of R's blocker, and R's incidence graph."""
 
     __slots__ = ("deleted", "contracted", "blocker", "graph")
 
@@ -226,11 +227,14 @@ def verify_identities(n: int) -> VerificationReport:
 
     One pass over enumerate_clutters(n).  Each family takes its cases in
     (M, v[, v']) order from values computed once per run, and keeps its own
-    tally.  Every single removal M\\v or M/v is one of the clutters on the
-    n-1 elements left, and each of those is the removal of many M.  So two
-    functools.cache wrappers that live for the call, keyed by clutter value,
-    hold the blocker of every M and, for each clutter on n-1 elements that
-    occurs, its removals, its blocker and its incidence graph.  M's own
+    tally.  A removal is its (ground, rows) pair, as in _connected_minors:
+    one core._removals call gives M\\v and M/v from one pass over M's rows,
+    and the families compare pairs, whose frozensets compare in C.  Every
+    single removal of M is one of the clutters on the n-1 elements left, and
+    each of those is the removal of many M.  So two functools.cache wrappers
+    that live for the call hold the blocker of every M and, keyed by pair,
+    for each clutter on n-1 elements that occurs, its removals, its blocker
+    and its incidence graph: the only removals built as a Clutter.  M's own
     removals and graph and the removals of its blocker serve that M alone;
     they are computed directly and dropped once M is done, which keeps the
     caches to one blocker per M plus the clutters on n-1 elements; no
@@ -238,7 +242,7 @@ def verify_identities(n: int) -> VerificationReport:
     """
     if not 0 <= n <= 4:
         raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
-    delete, contract, graph = core.delete, core.contract, graphview.incidence_graph
+    removals, graph = core._removals, graphview.incidence_graph
     tested = dict.fromkeys(_FAMILIES, 0)
     failures = {name: [] for name in _FAMILIES}
     blocker_of = functools.cache(blocker)
@@ -249,19 +253,22 @@ def verify_identities(n: int) -> VerificationReport:
             marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
             failures[name].append(f"M=({_inline(M)}){marks}")
 
+    def split(ground: frozenset, rows: frozenset, elems: Iterable[str]) -> tuple:
+        # the pairs of (ground, rows)\v and (ground, rows)/v, keyed by v
+        deleted, contracted = {}, {}
+        for v in elems:
+            deleted[v], contracted[v] = removals(ground, rows, v)
+        return deleted, contracted
+
     @functools.cache
-    def removal(R: Clutter) -> _Removal:
-        return _Removal(
-            {w: delete(R, w) for w in R.ground},
-            {w: contract(R, w) for w in R.ground},
-            blocker(R),
-            graph(R),
-        )
+    def removal(key: tuple) -> _Removal:
+        R = Clutter(*key)
+        B = blocker(R)
+        return _Removal(*split(*key, R.ground), (B.ground, B.rows), graph(R))
 
     for M in enumerate_clutters(n):
         elems = sorted(M.ground)
-        deleted = {v: delete(M, v) for v in elems}
-        contracted = {v: contract(M, v) for v in elems}
+        deleted, contracted = split(M.ground, M.rows, elems)
         b, G = blocker_of(M), graph(M)
         D = {v: removal(R) for v, R in deleted.items()}
         C = {v: removal(R) for v, R in contracted.items()}
@@ -276,7 +283,8 @@ def verify_identities(n: int) -> VerificationReport:
         record("blocker-involution", blocker_of(b) == M, M)
         for v in elems:
             # blocker(M\v) = b/v and blocker(M/v) = b\v
-            holds = D[v].blocker == contract(b, v) and C[v].blocker == delete(b, v)
+            b_deleted, b_contracted = removals(b.ground, b.rows, v)
+            holds = D[v].blocker == b_contracted and C[v].blocker == b_deleted
             record("duality-swap", holds, M, v)
         connected = core.is_connected(M)
         holds = graphview._connectivity_agrees(M, G, connected)
@@ -286,7 +294,7 @@ def verify_identities(n: int) -> VerificationReport:
                 if graphview.twins(G, v):
                     holds = (
                         C[v].graph == graphview.remove_black_vertex(G, v)
-                        and core.is_connected(contracted[v])
+                        and core._spans(*contracted[v])
                     )
                     record("twin-contraction", holds, M, v)
         for v in elems:

@@ -128,7 +128,7 @@ SMALL_IDENTITIES_REPORT_SHA256 = {
 }
 
 
-_delete, _contract = core.delete, core.contract
+_delete, _contract, _removals = core.delete, core.contract, core._removals
 _incidence_graph = graphview.incidence_graph
 
 
@@ -137,12 +137,24 @@ def delete_keeping_no_empty_row(M, v):
     return Clutter(R.ground, R.rows - {F()})
 
 
+def removals_keeping_no_empty_row(ground, rows, v):
+    (rest, kept), contracted = _removals(ground, rows, v)
+    return (rest, kept - {F()}), contracted
+
+
 def contract_unfiltered_at_last_element(M, v):
     # strips v from every row but keeps the non-minimal results when v is
     # M's largest element, so the order of two contractions starts to matter
     if v != max(M.ground):
         return _contract(M, v)
     return Clutter(M.ground - {v}, F(A - {v} for A in M.rows))
+
+
+def removals_unfiltered_at_last_element(ground, rows, v):
+    deleted, contracted = _removals(ground, rows, v)
+    if v == max(ground):
+        contracted = (ground - {v}, F(A - {v} for A in rows))
+    return deleted, contracted
 
 
 def graph_without_last_element_edges(M):
@@ -160,11 +172,15 @@ def blocker_without_last_row(M):
 
 # faulty primitives for the identity verifier: each entry is the
 # monkeypatch.setattr triples that install the fault, then the families it
-# breaks at n=4; the blocker is bound by name in the verifier and the oracle,
-# so its fault is installed at both bindings
+# breaks at n=4; the verifier takes M\v and M/v from core._removals and the
+# oracle from core.delete and core.contract, and the blocker is bound by name
+# in both, so the removal and blocker faults are installed at both bindings
 FAULTS = {
     "delete-keeps-no-empty-row": (
-        ((core, "delete", delete_keeping_no_empty_row),),
+        (
+            (core, "delete", delete_keeping_no_empty_row),
+            (core, "_removals", removals_keeping_no_empty_row),
+        ),
         {
             "deletion-contraction-commutativity",
             "duality-swap",
@@ -172,7 +188,10 @@ FAULTS = {
         },
     ),
     "contract-unfiltered-at-last-element": (
-        ((core, "contract", contract_unfiltered_at_last_element),),
+        (
+            (core, "contract", contract_unfiltered_at_last_element),
+            (core, "_removals", removals_unfiltered_at_last_element),
+        ),
         {"deletion-contraction-commutativity", "duality-swap"},
     ),
     "graph-drops-last-element": (
@@ -477,8 +496,9 @@ class TestVerifyIdentities:
     def test_primitive_calls_bounded(self, monkeypatch):
         # every single removal of a clutter on 4 elements is one of the 80
         # clutters on 3 of them: their removals, blockers and graphs are
-        # computed once per run, M's own and its blocker's once per M
-        calls = {"removals": 0, "graphs": 0, "blockers": 0}
+        # computed once per run, M's own and its blocker's once per M; each
+        # (clutter, element) pair's M\v and M/v come from one _removals call
+        calls = {"_removals": 0, "delete": 0, "contract": 0, "graphs": 0, "blockers": 0}
 
         def counted(kind, fn):
             def wrapper(*args):
@@ -487,23 +507,23 @@ class TestVerifyIdentities:
 
             return wrapper
 
-        monkeypatch.setattr(core, "delete", counted("removals", core.delete))
-        monkeypatch.setattr(core, "contract", counted("removals", core.contract))
+        for name in ("_removals", "delete", "contract"):
+            monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
         monkeypatch.setattr(
             graphview, "incidence_graph", counted("graphs", graphview.incidence_graph)
         )
         monkeypatch.setattr(enumeration, "blocker", counted("blockers", blocker))
         verify_identities(4)
-        # 168 * 8 removals of M and of its blocker, 80 * 6 of the clutters on
-        # 3 elements; 168 + 80 graphs and blockers
-        assert calls["removals"] <= 168 * 8 * 2 + 80 * 6
+        # 1,584 = 168 * 4 * 2 pairs of M and of its blocker + 80 * 3 of the
+        # clutters on 3 elements; 168 + 80 graphs and blockers
+        assert (calls["_removals"], calls["delete"], calls["contract"]) == (1584, 0, 0)
         assert calls["graphs"] <= 168 + 80
         assert calls["blockers"] <= 168 + 80
 
     @pytest.mark.parametrize("n,pairs", [(3, 54), (4, 648)])
     def test_theorem_builds_each_removal_pair_in_one_call(self, n, pairs, monkeypatch):
-        # unlike the identity verifier, the theorem verifier takes M\v and
-        # M/v from one _removals call per (clutter, element) pair it visits
+        # the theorem verifier takes M\v and M/v from one _removals call per
+        # (clutter, element) pair it visits
         calls = {"_removals": 0, "delete": 0, "contract": 0}
 
         def counted(name):

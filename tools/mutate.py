@@ -16,15 +16,24 @@ runs first and must pass.
 All work happens in a copy of `src/`, `tests/`, `bench/` (which the tracer
 test reads) and `pyproject.toml` in a temporary directory; the checkout is
 never written.  One pytest subprocess runs at a time, each limited to five
-times the unmutated run of the same tests plus 10 s, and a mutant that
-times out counts as killed.  Hypothesis runs with a fixed seed, no example
+times the unmutated run of the same tests plus 10 s and to 1 GiB of
+address space (the whole suite peaks near 70 MB), and a mutant that times
+out or runs out of memory counts as killed.  Without the memory limit, a
+mutant that lets `enumerate_clutters(6)` run builds millions of clutters
+and takes gigabytes.  Hypothesis runs with a fixed seed, no example
 database and no shrinking (a `conftest.py` in the copy's root), so a sweep
 is repeatable and a failing example costs no search for a smaller one.
 
 Phase 1 runs every mutant against the module's own test file and stops at
 the first failure.  Phase 2 runs the survivors against the whole suite
 (`tests/`) and kills a mutant when a test fails that passes unmutated, so
-a test that already fails does not count.  The survivors are printed last.
+a test that already fails does not count.  It runs the unmutated suite
+once, then each survivor with the tests that failed there deselected, and
+stops at the first failure, which is new.  Test files run in name order,
+except that the files of the last kill run first.  If the unmutated suite
+fails without naming a test (an exit code of its own, or a file that does
+not collect), there is nothing to deselect, and each survivor runs the
+whole suite.  The survivors are printed last.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import argparse
 import ast
 import copy
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -48,6 +58,7 @@ SWAPS = {
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.Add: ast.Sub, ast.Sub: ast.Add,
 }
 QUANTIFIERS = {"any": "all", "all": "any"}
+MEMORY = 1 << 30  # bytes of address space for each pytest run
 PROFILE = """\
 from hypothesis import Phase, settings
 
@@ -119,7 +130,11 @@ def mutant(source, target=None):
     return ast.unparse(tree) + "\n", sites.found
 
 
-def pytest(copy_root, targets, timeout, first_failure):
+def cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def pytest(copy_root, targets, timeout, first_failure, deselect=()):
     """The failed test ids of one run, or None if it timed out.  A run that
     fails without naming a test (a collection or import error) gets the id
     of its exit code."""
@@ -127,10 +142,12 @@ def pytest(copy_root, targets, timeout, first_failure):
            "--hypothesis-seed=0", "--continue-on-collection-errors", *targets]
     if first_failure:
         cmd.append("-x")
+    for test in deselect:
+        cmd += ["--deselect", test]
     env = dict(os.environ, PYTHONPATH=str(copy_root / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(cmd, cwd=copy_root, env=env, capture_output=True,
-                              text=True, timeout=timeout)
+                              text=True, timeout=timeout, preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return None
     failed = {line.split(" ", 1)[1].split(" - ")[0] for line in proc.stdout.splitlines()
@@ -155,10 +172,10 @@ def sweep(module, tests, only):
         (copy_root / "conftest.py").write_text(PROFILE)
         target = copy_root / module
 
-        def run(text, targets, first_failure, limit):
+        def run(text, targets, first_failure, limit, deselect=()):
             target.write_text(text)
             try:
-                return pytest(copy_root, targets, limit, first_failure)
+                return pytest(copy_root, targets, limit, first_failure, deselect)
             finally:
                 target.write_text(source)
 
@@ -177,16 +194,27 @@ def sweep(module, tests, only):
 
         killed_by_suite = []
         if survivors:
+            files = sorted(p.relative_to(copy_root).as_posix()
+                           for p in (copy_root / "tests").glob("test_*.py"))
             start = time.perf_counter()
-            baseline = run(original, ["tests"], False, None)
+            baseline = run(original, files, False, None)
             limit = 5 * (time.perf_counter() - start) + 10
             print(f"unmutated, the suite fails {sorted(baseline)}", file=sys.stderr)
+            # a test id names its file and test; an `exit N` or a file that
+            # does not collect cannot be deselected, and under -x a collection
+            # error would stop every run before its first test
+            selective = all("::" in test for test in baseline)
+            deselect = sorted(baseline) if selective else ()
             for i in survivors:
-                failed = run(mutant(source, i)[0], ["tests"], False, limit)
+                failed = run(mutant(source, i)[0], files, selective, limit, deselect)
                 new = {"timeout"} if failed is None else failed - baseline
                 if new:
                     killed_by_suite.append(i)
                     print(f"[{i}] killed by the suite: {sorted(new)}", file=sys.stderr)
+                    # neighbouring sites tend to fall to the same file, so
+                    # the files that killed this mutant run first from now on
+                    first = sorted({test.split("::")[0] for test in new} & set(files))
+                    files = first + [f for f in files if f not in first]
 
     print(f"{module}: {len(chosen)} mutants, {len(survivors)} survived {tests}, "
           f"{len(survivors) - len(killed_by_suite)} survived the suite")
