@@ -113,8 +113,11 @@ def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
     S(C) = ({C} if C is connected) | the S of each C\\v and C/v, whose keys
     core._removals gives together from one pass over C's rows.  memo maps
     each key to its entry, so each clutter's S and connectivity are computed
-    once per memo.  core._spans tests the key itself, and a Clutter is built
-    only for a connected C, the member that takes the next bit.  The key's two
+    once per memo.  A removal's entry is read with memo.get in the loop
+    below, as in _removal_minors, and only a miss costs a call, which
+    computes that entry: at n=4, 126 calls for 1,296 lookups.
+    core._spans tests the key itself, and a Clutter is built only for a
+    connected C, the member that takes the next bit.  The key's two
     frozensets hash and compare in C, not through Clutter's Python-level
     methods, and the unions are int ors.  memo is a plain dict because a
     recursive closure under functools.cache is a reference cycle, which
@@ -126,7 +129,10 @@ def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
         bits = 0
         for v in ground:
             for R in core._removals(ground, rows, v):
-                bits |= _connected_minors(R, memo, members)[1]
+                entry = memo.get(R)
+                if entry is None:
+                    entry = _connected_minors(R, memo, members)
+                bits |= entry[1]
         connected = core._spans(ground, rows)
         if connected:
             bits |= 1 << len(members)
@@ -139,11 +145,15 @@ def _removal_minors(M: Clutter, memo: dict, members: list) -> tuple:
     """(the union of S(R) over M's single removals R, the union over the
     connected R), as bitsets over members: M's connected proper minors, and
     those that are a minor of a connected single removal.  Each element's
-    pair M\\v, M/v comes from one core._removals call."""
+    pair M\\v, M/v comes from one core._removals call, and each R's entry
+    is a memo.get, with a _connected_minors call only on a miss."""
     minors = reach = 0
     for v in M.ground:
         for R in core._removals(M.ground, M.rows, v):
-            connected, bits = _connected_minors(R, memo, members)
+            entry = memo.get(R)
+            if entry is None:
+                entry = _connected_minors(R, memo, members)
+            connected, bits = entry
             minors |= bits
             if connected:
                 reach |= bits
@@ -151,13 +161,20 @@ def _removal_minors(M: Clutter, memo: dict, members: list) -> tuple:
 
 
 def _in_witness_order(M: Clutter, bits: int, members: list) -> list:
-    """The members that bits stands for, as M's minors in first-witness order."""
+    """The members that bits stands for, as M's minors in first-witness order.
+
+    Two or more are sorted by minor._first_witness, one has_minor search
+    each.  A lone member is already in order and costs no search: each
+    failing M of verify_theorem at n=4 and 5 has one failure, while at n=3
+    the nine failures lie on four M."""
     found = []
     while bits:
         low = bits & -bits
         found.append(members[low.bit_length() - 1])
         bits ^= low
-    return sorted(found, key=lambda N: minor._first_witness(M, N))
+    if len(found) > 1:
+        found.sort(key=lambda N: minor._first_witness(M, N))
+    return found
 
 
 def connected_proper_minors(M: Clutter) -> list:

@@ -149,6 +149,16 @@ def connected_rows(labels, rows):
     return core.new_clutter(labels, rows)
 
 
+def naive_canonical_serialize(M):
+    """canonical_serialize the slow way: the rows ordered by a (cardinality,
+    sorted members) key, and each row sorted again for its line, '-' when
+    it is empty."""
+    lines = ["elements" + "".join(" " + e for e in sorted(M.ground))]
+    for row in sorted(M.rows, key=lambda row: (len(row), tuple(sorted(row)))):
+        lines.append("row " + (" ".join(sorted(row)) or "-"))
+    return "\n".join(lines) + "\n"
+
+
 def naive_splitter_failures(M):
     """(tested, failures) of the splitter property for a connected M by
     brute force: tested counts M's connected proper minors, met through

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import frozen_parts, naive_contract, naive_delete, naive_separation
+from helpers import (
+    frozen_parts,
+    naive_canonical_serialize,
+    naive_contract,
+    naive_delete,
+    naive_separation,
+)
 import clutters
 from clutters import core
 from clutters.core import (
@@ -413,6 +419,25 @@ class TestSerialization:
     def test_serialization_injective(self):
         texts = {canonical_serialize(M) for M in enumerate_clutters(3)}
         assert len(texts) == 20
+
+    def test_matches_naive_oracle_exhaustive(self):
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                assert canonical_serialize(M) == naive_canonical_serialize(M)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_naive_oracle_sampled(self, data):
+        numbers = st.lists(st.integers(1, 12), unique=True, max_size=8)
+        labels = [str(i) for i in data.draw(numbers, label="labels")]  # "10" < "2"
+        row = st.frozensets(st.sampled_from(labels), max_size=4) if labels else st.just(F())
+        drawn = set(data.draw(st.lists(row, max_size=10), label="rows"))  # may hold {}
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        assert canonical_serialize(M) == naive_canonical_serialize(M)
+
+    def test_multi_digit_labels_sort_as_text(self):
+        M = new_clutter(["2", "10", "3"], [["2", "10"], ["3"]])
+        assert canonical_serialize(M) == "elements 10 2 3\nrow 3\nrow 10 2\n"
 
     @pytest.mark.parametrize(
         "text",

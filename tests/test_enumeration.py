@@ -342,12 +342,15 @@ class TestVerifyTheorem:
         expected = naive_splitter_failures(M)
         assert enumeration._splitter_failures(M, {}, []) == expected
 
-    @pytest.mark.parametrize("n,calls", [(3, 9), (4, 16)])
-    def test_has_minor_called_once_per_counterexample(self, n, calls, monkeypatch):
+    @pytest.mark.parametrize("n,failures,calls", [(3, 9, 9), (4, 16, 0), (5, 25, 0)])
+    def test_has_minor_called_only_to_order_failures(self, n, failures, calls, monkeypatch):
+        # one search per failure of an M with two or more: at n=3 the nine
+        # failures lie on four M, at n=4 and 5 each on its own M
         counted, real = [], minor.has_minor
         monkeypatch.setattr(minor, "has_minor", lambda M, N: counted.append(N) or real(M, N))
         (result,) = verify_theorem(n).results
-        assert len(counted) == len(result.counterexamples) == calls
+        assert len(result.counterexamples) == failures
+        assert len(counted) == calls
 
     def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
         # the memo keys on (ground, rows) and stores each clutter's flag, so
@@ -394,6 +397,38 @@ class TestVerifyTheorem:
         M = new_clutter("12", [["1", "2"]])
         values = connected_proper_minors(M)
         assert len(values) == len(set(values))
+
+
+class TestInWitnessOrder:
+    """_in_witness_order on members listed against first-witness order, so
+    that only its sort can put them right."""
+
+    def test_one_bit_is_its_member_with_no_search(self, monkeypatch):
+        M = new_clutter("12", [["1", "2"]])
+        members = first_witness_order(M)[::-1]
+        monkeypatch.setattr(minor, "has_minor", lambda M, N: pytest.fail("has_minor ran"))
+        for i, N in enumerate(members):
+            assert enumeration._in_witness_order(M, 1 << i, members) == [N]
+        assert enumeration._in_witness_order(M, 0, members) == []
+
+    def test_two_bits_sorted(self):
+        # ({1}; {1}) has exactly two connected proper minors: ([]; no row) by
+        # deleting 1 and ([]; {}) by contracting it
+        M = new_clutter("1", [["1"]])
+        order = first_witness_order(M)
+        assert order == [Clutter(F(), F()), Clutter(F(), F({F()}))]
+        members = order[::-1]
+        assert enumeration._in_witness_order(M, 0b11, members) == order
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_three_or_more_bits_sorted(self, n):
+        for M in enumerate_connected(n):
+            order = first_witness_order(M)
+            members = order[::-1]
+            for chosen in (order, order[:3], order[1::2]):
+                if len(chosen) >= 3:
+                    bits = sum(1 << members.index(N) for N in chosen)
+                    assert enumeration._in_witness_order(M, bits, members) == chosen
 
 
 class TestKnownCounterexamples:

@@ -474,7 +474,29 @@ class RankPasses(frozenset):
         return super().__iter__()
 
 
+class ReadRows(frozenset):
+    """Rows handed out in a fixed order that count how many are read."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.order, self.read = list(rows), 0
+        return self
+
+    def __iter__(self):
+        for A in self.order:
+            self.read += 1
+            yield A
+
+
 class TestStepWork:
+    def test_ranking_stops_once_every_other_element_is_outside(self):
+        # the first row read avoids 1 and holds 2, 3 and 4, so no element
+        # has its rows inside 1's: 1 is minimal, and no further row is read
+        rows = ReadRows([F("234"), F("12"), F("13"), F("14")])
+        M = Clutter(F("1234"), rows)
+        assert next(splitter._ranked(M, C(""))) == "1"
+        assert rows.read == 1
+
     def test_disconnected_candidate_gets_no_minor_test(self, monkeypatch):
         calls, real = [], minor.has_minor
         monkeypatch.setattr(minor, "has_minor", lambda M, N: calls.append(M) or real(M, N))
