@@ -244,8 +244,14 @@ def verify_identities(n: int) -> VerificationReport:
 
     One pass over enumerate_clutters(n).  Each family takes its cases in
     (M, v[, v']) order from values computed once per run, and keeps its own
-    tally.  A removal is its (ground, rows) pair, as in _connected_minors:
-    one core._removals call gives M\\v and M/v from one pass over M's rows,
+    tally, counted in bulk for each M on k elements: k * (k - 1) ordered
+    pairs for commutativity, one case each for the involution and the
+    connectivity equivalence, k for the duality swap and for the graph
+    correspondence, and, if M is connected, its elements with a twin for
+    twin contraction.  A passing case costs no call beyond the primitive it
+    verifies; only a failing one calls fail, which writes its line.  A
+    removal is its (ground, rows) pair, as in _connected_minors: one
+    core._removals call gives M\\v and M/v from one pass over M's rows,
     and the families compare pairs, whose frozensets compare in C.  Every
     single removal of M is one of the clutters on the n-1 elements left, and
     each of those is the removal of many M.  So two functools.cache wrappers
@@ -264,11 +270,9 @@ def verify_identities(n: int) -> VerificationReport:
     failures = {name: [] for name in _FAMILIES}
     blocker_of = functools.cache(blocker)
 
-    def record(name: str, holds: bool, M: Clutter, *where: str) -> None:
-        tested[name] += 1
-        if not holds:
-            marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
-            failures[name].append(f"M=({_inline(M)}){marks}")
+    def fail(name: str, M: Clutter, *where: str) -> None:
+        marks = "".join(f" {k}={x}" for k, x in zip(("v", "v'"), where))
+        failures[name].append(f"M=({_inline(M)}){marks}")
 
     def split(ground: frozenset, rows: frozenset, elems: Iterable[str]) -> tuple:
         # the pairs of (ground, rows)\v and (ground, rows)/v, keyed by v
@@ -285,38 +289,46 @@ def verify_identities(n: int) -> VerificationReport:
 
     for M in enumerate_clutters(n):
         elems = sorted(M.ground)
+        k = len(elems)
         deleted, contracted = split(M.ground, M.rows, elems)
         b, G = blocker_of(M), graph(M)
         D = {v: removal(R) for v, R in deleted.items()}
         C = {v: removal(R) for v, R in contracted.items()}
+        tested["deletion-contraction-commutativity"] += k * (k - 1)
         for v, w in itertools.permutations(elems, 2):
             # M\v\w = M\w\v, M/v/w = M/w/v and M\v/w = M/w\v
-            holds = (
+            if not (
                 D[v].deleted[w] == D[w].deleted[v]
                 and C[v].contracted[w] == C[w].contracted[v]
                 and D[v].contracted[w] == C[w].deleted[v]
-            )
-            record("deletion-contraction-commutativity", holds, M, v, w)
-        record("blocker-involution", blocker_of(b) == M, M)
+            ):
+                fail("deletion-contraction-commutativity", M, v, w)
+        tested["blocker-involution"] += 1
+        if blocker_of(b) != M:
+            fail("blocker-involution", M)
+        tested["duality-swap"] += k
         for v in elems:
             # blocker(M\v) = b/v and blocker(M/v) = b\v
             b_deleted, b_contracted = removals(b.ground, b.rows, v)
-            holds = D[v].blocker == b_contracted and C[v].blocker == b_deleted
-            record("duality-swap", holds, M, v)
+            if not (D[v].blocker == b_contracted and C[v].blocker == b_deleted):
+                fail("duality-swap", M, v)
         connected = core.is_connected(M)
-        holds = graphview._connectivity_agrees(M, G, connected)
-        record("connectivity-equivalence", holds, M)
+        tested["connectivity-equivalence"] += 1
+        if not graphview._connectivity_agrees(M, G, connected):
+            fail("connectivity-equivalence", M)
         if connected:
-            for v in elems:
-                if graphview.twins(G, v):
-                    holds = (
-                        C[v].graph == graphview.remove_black_vertex(G, v)
-                        and core._spans(*contracted[v])
-                    )
-                    record("twin-contraction", holds, M, v)
+            twinned = [v for v in elems if graphview.twins(G, v)]
+            tested["twin-contraction"] += len(twinned)
+            for v in twinned:
+                if not (
+                    C[v].graph == graphview.remove_black_vertex(G, v)
+                    and core._spans(*contracted[v])
+                ):
+                    fail("twin-contraction", M, v)
+        tested["deletion-graph-correspondence"] += k
         for v in elems:
-            holds = D[v].graph == graphview.delete_closed_neighbourhood(G, v)
-            record("deletion-graph-correspondence", holds, M, v)
+            if D[v].graph != graphview.delete_closed_neighbourhood(G, v):
+                fail("deletion-graph-correspondence", M, v)
     results = (
         CheckResult(name, count, count - len(failures[name]), tuple(failures[name]))
         for name, count in tested.items()

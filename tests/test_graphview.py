@@ -93,6 +93,19 @@ class TestComponents:
         ]
 
 
+class TestVertexSortKey:
+    def test_by_name_then_black_before_white(self):
+        # a label never starts with 'r:', so graphs of clutters never tie on
+        # a name; the key still orders a tie, black first
+        vertices = [(WHITE, "b"), (BLACK, "b"), (WHITE, "a"), (BLACK, "c")]
+        assert sorted(vertices, key=vertex_sort_key) == [
+            (WHITE, "a"),
+            (BLACK, "b"),
+            (WHITE, "b"),
+            (BLACK, "c"),
+        ]
+
+
 def scan_open(G, vertex):
     """Open neighbourhood of a tagged vertex by a scan of the edge set."""
     kind, name = vertex
@@ -348,13 +361,18 @@ class TestDeleteClosedNeighbourhood:
                 for v in sorted(M.ground):
                     assert incidence_graph(delete(M, v)) == delete_closed_neighbourhood(G, v)
 
-    def test_white_vertex_rejected(self):
-        with pytest.raises(NotBlack):
-            delete_closed_neighbourhood(incidence_graph(C("12", "12")), "r:1,2")
 
-    def test_unknown_vertex(self):
+@pytest.mark.parametrize(
+    "operation", [delete_closed_neighbourhood, remove_black_vertex, twins, good_components]
+)
+class TestBlackVertexRequired:
+    def test_white_vertex_rejected(self, operation):
+        with pytest.raises(NotBlack):
+            operation(incidence_graph(C("12", "12")), "r:1,2")
+
+    def test_unknown_vertex(self, operation):
         with pytest.raises(VertexNotFound):
-            delete_closed_neighbourhood(incidence_graph(C("12", "12")), "9")
+            operation(incidence_graph(C("12", "12")), "9")
 
 
 class TestTwins:
