@@ -52,22 +52,22 @@ class _Record:
     def __init_subclass__(cls):
         fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         cls._fields = fields
-        # the slots' own setters, which bypass the guarded __setattr__
-        cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
+        # __init__(self, <fields>) is compiled for each class, as dataclasses
+        # does: Python binds the fields by position or keyword and raises the
+        # TypeError, and each value goes to its slot's own setter, which
+        # bypasses the guarded __setattr__.  A generic __init__(*args,
+        # **kwargs) made verify-theorem p50 go from 2.08 to 2.21 ms, slower
+        # in 6 of 6 bench pairs (Python 3.11, shared 2-vCPU VM)
+        namespace = {f"_set_{name}": vars(cls)[name].__set__ for name in fields}
+        body = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         if len(fields) > 1:
             values = attrgetter(*fields)
         else:  # attrgetter of one name returns the bare value, not a tuple
             values = lambda record: tuple(getattr(record, f) for f in fields)
         cls._values = staticmethod(values)  # record -> tuple of its fields
-
-    def __init__(self, *args, **kwargs):
-        if kwargs:  # the keyword fields, in field order after the positional ones
-            args += tuple(kwargs.pop(f) for f in self._fields[len(args) :] if f in kwargs)
-        if kwargs or len(args) != len(self._fields):
-            fields = ", ".join(self._fields)
-            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -98,23 +98,12 @@ class Clutter(_Record):
 
     __slots__ = ("ground", "rows")
 
-    # Spelled out rather than inherited, which skips _Record.__init__'s
-    # field checks on the verifiers' hot path: without it, verify-theorem p50
-    # (bench/run.py, 20 s runs, seeds 1-6) went from 2.08 to 2.21 ms, slower
-    # in 6 of 6 pairs (Python 3.11, shared 2-vCPU VM)
-    def __init__(self, ground: frozenset, rows: frozenset):
-        _set_ground(self, ground)
-        _set_rows(self, rows)
-
     def __repr__(self) -> str:
         g = " ".join(sorted(self.ground))
         rs = ", ".join(
             "{" + " ".join(sorted(r)) + "}" for r in sorted(self.rows, key=row_sort_key)
         )
         return f"Clutter([{g}] {rs})" if rs else f"Clutter([{g}])"
-
-
-_set_ground, _set_rows = Clutter._setters
 
 
 class Separation(_Record):

@@ -36,16 +36,6 @@ class IncidenceGraph(_Record):
     # row key) pairs; __dict__ holds the cached _neighbours map
     __slots__ = ("black", "white", "edges", "__dict__")
 
-    # Spelled out rather than inherited, as Clutter's is: it skips
-    # _Record.__init__'s keyword and arity handling for the 972 graphs of
-    # each verify_identities(4) run, whose best of 3 s went from 16.24 to
-    # 15.65 ms with it, faster in 10 of 10 alternating runs (Python 3.11,
-    # shared 2-vCPU VM)
-    def __init__(self, black: frozenset, white: frozenset, edges: frozenset):
-        _set_black(self, black)
-        _set_white(self, white)
-        _set_edges(self, edges)
-
     @cached_property
     def _neighbours(self) -> dict:
         """Each tagged vertex mapped to the frozenset of its tagged neighbours.
@@ -59,9 +49,6 @@ class IncidenceGraph(_Record):
             adj[(BLACK, v)].add((WHITE, w))
             adj[(WHITE, w)].add((BLACK, v))
         return {x: frozenset(ns) for x, ns in adj.items()}
-
-
-_set_black, _set_white, _set_edges = IncidenceGraph._setters
 
 
 class Neighbourhood(_Record):

@@ -1,5 +1,6 @@
 """Clutter construction, minors, separations, and the text format."""
 
+import inspect
 import itertools
 import types
 
@@ -467,3 +468,15 @@ def test_package_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(clutters.__all__) == public
+
+
+def test_record_constructors_take_exactly_their_fields():
+    # each record class's compiled __init__ names its fields, in order, and
+    # takes no *args or **kwargs, so a constructor stays one call with one
+    # slot write per field
+    for cls in core._Record.__subclasses__():
+        code = cls.__init__.__code__
+        assert code.co_varnames[: code.co_argcount] == ("self",) + cls._fields
+        assert code.co_kwonlyargcount == 0
+        assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"

@@ -1,15 +1,19 @@
 """Alternating A/B runs of the benchmark: a base revision against the working tree.
 
-    python tools/ab.py --workload verify-identities --pairs 10 --seconds 20
+    python tools/ab.py --workload verify-identities
     python tools/ab.py --workload large-inputs --base HEAD~1 --seed 4
 
-The base side is a fresh `git archive` of --base (default HEAD).  The change
+The base side is a fresh `git archive` of --base (default HEAD; once the
+change is committed, give its parent, as in the second line).  The change
 side is a copy of the working tree's tracked files, as `git ls-files` lists
 them, with their working-tree content, so staged new files are included and
 untracked ones are not.  Both copies live in one temporary directory that is
 removed at the end; the checkout, `bench/` included, is never written.
+If the working tree does not differ from --base, the script stops before
+any run, since the pairs would compare a revision with itself.
 
-Each pair runs `bench/run.py --trace 0`, unchanged, once in each copy,
+Each of the 10 pairs runs `bench/run.py`, unchanged and with its own
+defaults for the run length and tracing, once in each copy,
 alternating which side runs first.  Every run has PYTHONDONTWRITEBYTECODE=1
 and neither copy holds a `__pycache__`, so both sides compile their source at
 each start, as the benchmark does in a fresh checkout.  A run that exits
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args: str) -> bytes:
@@ -45,7 +50,10 @@ def git(*args: str) -> bytes:
 def export_base(rev: str, dest: Path) -> None:
     """A fresh copy of rev's committed files."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as archive:
-        archive.extractall(dest, filter="data")
+        # the "data" filter exists from Python 3.10.12 and 3.11.4 on; the
+        # archive is the repository's own, so older versions extract as is
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(dest, **safe)
 
 
 def export_working_tree(dest: Path) -> None:
@@ -60,8 +68,7 @@ def export_working_tree(dest: Path) -> None:
 def run_bench(checkout: Path, args) -> dict:
     """The metrics of one timed bench run in checkout: name -> value."""
     command = [
-        sys.executable, "bench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
     ]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
@@ -93,12 +100,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--base", default="HEAD", help="git revision of the base side")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if subprocess.run(("git", "-C", str(ROOT), "diff", "--quiet", args.base)).returncode == 0:
+        parser.error(f"the working tree does not differ from {args.base}; pass another --base")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     with tempfile.TemporaryDirectory(prefix="clutters-ab-") as tmp:
@@ -106,7 +111,7 @@ def main(argv=None) -> int:
         export_base(args.base, base)
         export_working_tree(change)
         runs = {base: [], change: []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = (base, change) if i % 2 == 0 else (change, base)
             for side in order:
                 runs[side].append(run_bench(side, args))
@@ -117,7 +122,7 @@ def main(argv=None) -> int:
             )
             print(f"pair {i + 1} ({first} first) base/change: {values}", flush=True)
 
-    print(f"# {args.workload} seed={args.seed} seconds={args.seconds} base={args.base}")
+    print(f"# {args.workload} seed={args.seed} base={args.base}")
     print(f"{'metric':22} {'base median (Q1-Q3)':>30}    {'change median':>12}")
     for m in metrics:
         name = m["name"]
