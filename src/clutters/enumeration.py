@@ -28,20 +28,14 @@ def _ground_labels(n: int) -> list:
     return [str(i + 1) for i in range(n)]
 
 
-def enumerate_clutters(n: int) -> Iterator[Clutter]:
-    """Every clutter on ground {'1'..str(n)}, exactly once, deterministically.
-
-    The subsets are indexed in row_sort_key order, so a subset never lies
-    inside a later one.  above[i] holds the later indices whose subsets
-    contain subset i, and a growing antichain carries the union of above[i]
-    over its chosen i: the indices it may no longer take.
-    """
-    labels = _ground_labels(n)
-    ground = frozenset(labels)
+def _subsets(labels: list) -> tuple:
+    """(subsets, above): every subset of labels as a frozenset, in
+    row_sort_key order, so that a subset never lies inside a later one, and
+    above[i], the later indices whose subsets contain subset i."""
     subsets = sorted(
         (
             frozenset(combo)
-            for r in range(n + 1)
+            for r in range(len(labels) + 1)
             for combo in itertools.combinations(labels, r)
         ),
         key=core.row_sort_key,
@@ -51,14 +45,32 @@ def enumerate_clutters(n: int) -> Iterator[Clutter]:
         frozenset(j for j in range(i + 1, count) if s <= subsets[j])
         for i, s in enumerate(subsets)
     ]
+    return subsets, above
 
-    def grow(start: int, chosen: list, barred: frozenset) -> Iterator[Clutter]:
-        yield Clutter(ground, frozenset(chosen))
-        for i in range(start, count):
-            if i not in barred:
-                yield from grow(i + 1, chosen + [subsets[i]], barred | above[i])
 
-    yield from grow(0, [], frozenset())
+def _antichains(items: list, above: list, chosen, start=0, barred=frozenset()) -> Iterator:
+    """Every antichain that grows chosen by _subsets' subsets from index
+    start on, chosen itself first.  items[i] stands for subset i, and a
+    grown antichain is chosen | items[i] over its new subsets i: the
+    one-row frozensets of enumerate_clutters give its rows, the row bits of
+    verify_theorem its row bitset, so both walk the antichains in one
+    order.  barred is the union of above[i] over the chosen i: the indices
+    chosen may no longer take."""
+    yield chosen
+    for i in range(start, len(items)):
+        if i not in barred:
+            yield from _antichains(items, above, chosen | items[i], i + 1, barred | above[i])
+
+
+def enumerate_clutters(n: int) -> Iterator[Clutter]:
+    """Every clutter on ground {'1'..str(n)}, exactly once, deterministically,
+    in _antichains' order."""
+    labels = _ground_labels(n)
+    ground = frozenset(labels)
+    subsets, above = _subsets(labels)
+    items = [frozenset((s,)) for s in subsets]
+    for rows in _antichains(items, above, frozenset()):
+        yield Clutter(ground, rows)
 
 
 def enumerate_connected(n: int) -> Iterator[Clutter]:
@@ -103,56 +115,123 @@ class VerificationReport(_Record):
         return sum(len(r.counterexamples) for r in self.results)
 
 
-def _connected_minors(key: tuple, memo: dict, members: list) -> tuple:
-    """(C is connected, S(C)) for the clutter C whose (ground, rows) pair is
-    key, where S(C) is every connected minor of C, C itself included if it
-    is connected.  S(C) is an int bitset over members: bit i stands for
-    members[i], the run's i-th connected minor in first-met order.
+def _bits(x: int) -> Iterator[int]:
+    """The indices of x's set bits, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _Code:
+    """One run's encoding of the clutters on subsets of some labels as int
+    keys.  The sorted labels get bits 0, 1, ..., so a set of labels is a
+    mask s, and a clutter is the key (g, R): g its ground's mask, and R an
+    int with bit s set for each row whose mask is s.
+
+    The tables are the run's, built for its 2^n masks: elems[s], the bits
+    of s as a tuple of element indices; sets[s], its labels as a frozenset,
+    and masks, the inverse map; and lacks[v], the bits s of the masks
+    without element v, so that R & lacks[v] keeps the rows without v."""
+
+    __slots__ = ("elems", "sets", "masks", "lacks")
+
+    def __init__(self, labels: Iterable[str]):
+        labels = sorted(labels)
+        n = len(labels)
+        masks = range(1 << n)
+        # Lists, and each tuple made from a list: a tuple made from a
+        # generator is allocated at a guessed size and resized, so a run's
+        # freed tuples pile up on the interpreter's per-size free lists
+        # (0.6 MB more peak RSS over 2,000 runs at n=4).
+        self.elems = [tuple([i for i in range(n) if s >> i & 1]) for s in masks]
+        self.sets = [frozenset(labels[i] for i in elems) for elems in self.elems]
+        self.masks = dict(zip(self.sets, masks))
+        self.lacks = [sum(1 << s for s in masks if not s >> v & 1) for v in range(n)]
+
+    def key(self, M: Clutter) -> tuple:
+        masks = self.masks
+        return masks[M.ground], sum(1 << masks[A] for A in M.rows)
+
+    def clutter(self, key: tuple) -> Clutter:
+        g, R = key
+        sets = self.sets
+        return Clutter(sets[g], frozenset(map(sets.__getitem__, _bits(R))))
+
+    def connected(self, g: int, R: int) -> bool:
+        """core._spans of the clutter (g, R), on tuples of element indices."""
+        elems = self.elems
+        return core._spans(elems[g], map(elems.__getitem__, _bits(R)))
+
+
+def _removal_keys(g: int, R: int, v: int, code: _Code) -> tuple:
+    """The keys of M\\v and M/v for the clutter M = (g, R) and an element v
+    of g, as core._removals gives their (ground, rows) pairs.
+
+    Both have the ground g less v's bit b.  The rows without v, kept, are
+    M\\v's rows.  A row with v has its mask's bit b set, so stripping v
+    moves its bit down by b places: stripped holds the stripped rows.  When
+    there are none the two keys are one.  Otherwise M/v's rows are the
+    stripped rows and each kept row that contains none of them: kept less
+    the up-closure of stripped within the ground left, which each element
+    u grows by one shift-or, adding u to every mask without it.
+    """
+    b = 1 << v
+    rest = g ^ b
+    lacks = code.lacks
+    kept = R & lacks[v]
+    stripped = (R ^ kept) >> b
+    if not stripped:
+        key = (rest, R)
+        return key, key
+    up = stripped
+    for u in code.elems[rest]:
+        up |= (up & lacks[u]) << (1 << u)
+    return (rest, kept), (rest, stripped | kept & ~up)
+
+
+def _connected_minors(key: tuple, memo: dict, members: list, code: _Code) -> tuple:
+    """(C is connected, S(C)) for the clutter C with this key, where S(C) is
+    every connected minor of C, C itself included if it is connected.  S(C)
+    is an int bitset over members: bit i stands for members[i], the key of
+    the run's i-th connected minor in first-met order.
 
     Every proper minor of C is a minor of a single removal, so
-    S(C) = ({C} if C is connected) | the S of each C\\v and C/v, whose keys
-    core._removals gives together from one pass over C's rows.  memo maps
-    each key to its entry, so each clutter's S and connectivity are computed
-    once per memo.  A removal's entry is read with memo.get in the loop
-    below, as in _removal_minors, and only a miss costs a call, which
-    computes that entry: at n=4, 126 calls for 1,296 lookups.
-    core._spans tests the key itself, and a Clutter is built only for a
-    connected C, the member that takes the next bit.  The key's two
-    frozensets hash and compare in C, not through Clutter's Python-level
-    methods, and the unions are int ors.  memo is a plain dict because a
-    recursive closure under functools.cache is a reference cycle, which
-    only the cycle collector frees.
+    S(C) = ({C} if C is connected) | the S of each C\\v and C/v, which is
+    _removal_minors' first union.  memo maps each key to its entry, so each
+    clutter's S and connectivity are computed once per memo; a removal's
+    entry is read with memo.get in _removal_minors, and only a miss costs a
+    call, which computes that entry: at n=4, 126 calls for 1,296 lookups.
+    Keys, bitsets and unions are ints, and no Clutter is built.  The memo
+    is a plain dict passed in, because a recursive closure under
+    functools.cache is a reference cycle, which only the cycle collector
+    frees.
     """
     entry = memo.get(key)
     if entry is None:
-        ground, rows = key
-        bits = 0
-        for v in ground:
-            for R in core._removals(ground, rows, v):
-                entry = memo.get(R)
-                if entry is None:
-                    entry = _connected_minors(R, memo, members)
-                bits |= entry[1]
-        connected = core._spans(ground, rows)
+        bits, _ = _removal_minors(key, memo, members, code)
+        connected = code.connected(*key)
         if connected:
             bits |= 1 << len(members)
-            members.append(Clutter(ground, rows))
+            members.append(key)
         entry = memo[key] = (connected, bits)
     return entry
 
 
-def _removal_minors(M: Clutter, memo: dict, members: list) -> tuple:
-    """(the union of S(R) over M's single removals R, the union over the
-    connected R), as bitsets over members: M's connected proper minors, and
-    those that are a minor of a connected single removal.  Each element's
-    pair M\\v, M/v comes from one core._removals call, and each R's entry
-    is a memo.get, with a _connected_minors call only on a miss."""
+def _removal_minors(key: tuple, memo: dict, members: list, code: _Code) -> tuple:
+    """(the union of S(R) over the single removals R of the clutter with
+    this key, the union over the connected R), as bitsets over members: its
+    connected proper minors, and those that are a minor of a connected
+    single removal.  Each element's pair of removal keys comes from one
+    _removal_keys call, and each R's entry is a memo.get, with a
+    _connected_minors call only on a miss."""
+    g, R = key
     minors = reach = 0
-    for v in M.ground:
-        for R in core._removals(M.ground, M.rows, v):
-            entry = memo.get(R)
+    for v in code.elems[g]:
+        for removal in _removal_keys(g, R, v, code):
+            entry = memo.get(removal)
             if entry is None:
-                entry = _connected_minors(R, memo, members)
+                entry = _connected_minors(removal, memo, members, code)
             connected, bits = entry
             minors |= bits
             if connected:
@@ -160,59 +239,73 @@ def _removal_minors(M: Clutter, memo: dict, members: list) -> tuple:
     return minors, reach
 
 
-def _in_witness_order(M: Clutter, bits: int, members: list) -> list:
-    """The members that bits stands for, as M's minors in first-witness order.
+def _in_witness_order(key: tuple, bits: int, members: list, code: _Code) -> list:
+    """The members that bits stands for, as clutters, in first-witness order
+    as minors of the clutter M with this key.
 
     Two or more are sorted by minor._first_witness, one has_minor search
-    each.  A lone member is already in order and costs no search: each
-    failing M of verify_theorem at n=4 and 5 has one failure, while at n=3
-    the nine failures lie on four M."""
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(members[low.bit_length() - 1])
-        bits ^= low
+    each, which costs M's Clutter.  A lone member is already in order and
+    costs no search: each failing M of verify_theorem at n=4 and 5 has one
+    failure, while at n=3 the nine failures lie on four M."""
+    found = [code.clutter(members[i]) for i in _bits(bits)]
     if len(found) > 1:
+        M = code.clutter(key)
         found.sort(key=lambda N: minor._first_witness(M, N))
     return found
 
 
 def connected_proper_minors(M: Clutter) -> list:
     """Distinct connected proper minors of M, in first-witness order."""
-    members = []
-    minors, _ = _removal_minors(M, {}, members)
-    return _in_witness_order(M, minors, members)
+    code = _Code(M.ground)
+    key, members = code.key(M), []
+    minors, _ = _removal_minors(key, {}, members, code)
+    return _in_witness_order(key, minors, members, code)
 
 
-def _splitter_failures(M: Clutter, memo: dict, members: list) -> tuple:
-    """(tested, failures) for a connected clutter M: tested counts M's
-    connected proper minors N, and failures lists, in first-witness order,
-    those for which no single removal R of M is connected with N as a minor.
+def _splitter_failures(key: tuple, memo: dict, members: list, code: _Code) -> tuple:
+    """(tested, failures) for the connected clutter M with this key: tested
+    counts M's connected proper minors N, and failures lists, as clutters
+    in first-witness order, those for which no single removal R of M is
+    connected with N as a minor.
 
     N passes iff N is in S(R) for a connected R, so the failures are
     _removal_minors' first union less its second, found with no per-pair
-    test.  memo and members are _connected_minors', shared across the M of
-    one run.
+    test.  memo, members and code are _connected_minors', shared across
+    the M of one run.
     """
-    minors, reach = _removal_minors(M, memo, members)
-    return minors.bit_count(), _in_witness_order(M, minors & ~reach, members)
+    minors, reach = _removal_minors(key, memo, members, code)
+    failed = _in_witness_order(key, minors & ~reach, members, code)
+    return minors.bit_count(), failed
 
 
 def verify_theorem(n: int) -> VerificationReport:
     """Check the splitter property on every connected clutter M on exactly n
     labeled elements against each of its connected proper minors N (see
-    _splitter_failures).  One memo lives for the call and holds the entry
-    of each clutter on n-1 or fewer elements that occurs, and members the
-    connected ones, which the memo's bitsets index.
+    _splitter_failures).
+
+    The M come from _antichains as row bitsets of one _Code, and their
+    connectivity from core._spans, so a Clutter is built only for a failing
+    M and its failing N, for the report line.  One memo lives for the call
+    and holds the entry of each clutter on n-1 or fewer elements that
+    occurs, and members the keys of the connected ones, which the memo's
+    bitsets index.
     """
+    labels = _ground_labels(n)
+    code = _Code(labels)
+    subsets, above = _subsets(labels)
+    items = [1 << code.masks[s] for s in subsets]
+    g = (1 << n) - 1
     memo, members = {}, []
     tested = 0
     failures = []
-    for M in enumerate_clutters(n):
-        if core.is_connected(M):
-            count, failed = _splitter_failures(M, memo, members)
+    for R in _antichains(items, above, 0):
+        if code.connected(g, R):
+            key = (g, R)
+            count, failed = _splitter_failures(key, memo, members, code)
             tested += count
-            failures += [f"M=({_inline(M)})  N=({_inline(N)})" for N in failed]
+            if failed:
+                M = _inline(code.clutter(key))
+                failures += [f"M=({M})  N=({_inline(N)})" for N in failed]
     passed = tested - len(failures)
     result = CheckResult(f"theorem n={n}", tested, passed, tuple(failures))
     return VerificationReport((result,))
@@ -250,9 +343,9 @@ def verify_identities(n: int) -> VerificationReport:
     correspondence, and, if M is connected, its elements with a twin for
     twin contraction.  A passing case costs no call beyond the primitive it
     verifies; only a failing one calls fail, which writes its line.  A
-    removal is its (ground, rows) pair, as in _connected_minors: one
-    core._removals call gives M\\v and M/v from one pass over M's rows,
-    and the families compare pairs, whose frozensets compare in C.  Every
+    removal is its (ground, rows) pair: one core._removals call gives M\\v
+    and M/v from one pass over M's rows, and the families compare pairs,
+    whose frozensets compare in C.  Every
     single removal of M is one of the clutters on the n-1 elements left, and
     each of those is the removal of many M.  So two functools.cache wrappers
     that live for the call hold the blocker of every M and, keyed by pair,

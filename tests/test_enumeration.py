@@ -21,6 +21,7 @@ from clutters import core, enumeration, graphview, minor
 from clutters.blocker import blocker
 from clutters.core import Clutter, canonical_serialize, is_connected, new_clutter
 from clutters.enumeration import (
+    _Code,
     _connected_minors,
     connected_proper_minors,
     enumerate_clutters,
@@ -336,14 +337,15 @@ class TestVerifyTheorem:
     def test_shared_memo_does_not_leak_between_clutters(self):
         # one memo across every clutter at n<=4, connected or not, walked
         # forwards and then again backwards once it holds every other S(C);
-        # bit i of an entry's bitset stands for members[i]
-        memo, members = {}, []
+        # bit i of an entry's bitset stands for members[i], the key of a
+        # clutter under the run's one encoding of the labels 1..4
+        memo, members, code = {}, [], _Code("1234")
         clutters = [C for n in range(5) for C in enumerate_clutters(n)]
         oracle = {C: {N for _, N in all_minors(C) if is_connected(N)} for C in clutters}
         for C in clutters + clutters[::-1]:
-            connected, bits = _connected_minors((C.ground, C.rows), memo, members)
+            connected, bits = _connected_minors(code.key(C), memo, members, code)
             assert bits >> len(members) == 0
-            found = {N for i, N in enumerate(members) if bits >> i & 1}
+            found = {code.clutter(N) for i, N in enumerate(members) if bits >> i & 1}
             assert connected == (helpers.naive_separation(C) is None)
             assert found == oracle[C]
         assert len(set(members)) == len(members)
@@ -363,7 +365,8 @@ class TestVerifyTheorem:
             drawn = set(data.draw(st.lists(row, max_size=10), label="rows"))
             M = connected_rows(labels, [A for A in drawn if not any(B < A for B in drawn)])
         expected = naive_splitter_failures(M)
-        assert enumeration._splitter_failures(M, {}, []) == expected
+        code = _Code(M.ground)
+        assert enumeration._splitter_failures(code.key(M), {}, [], code) == expected
 
     @pytest.mark.parametrize("n,failures,calls", [(3, 9, 9), (4, 16, 0), (5, 25, 0)])
     def test_has_minor_called_only_to_order_failures(self, n, failures, calls, monkeypatch):
@@ -376,12 +379,12 @@ class TestVerifyTheorem:
         assert len(counted) == calls
 
     def test_memo_compares_no_clutter_and_tests_each_connectivity_once(self, monkeypatch):
-        # the memo keys on (ground, rows) and stores each clutter's flag, so
-        # no Clutter.__eq__ or __hash__ runs (1,438 __eq__ calls with Clutter
-        # keys).  core._spans runs once per clutter at n=4, through
-        # is_connected, and once per memo entry on the key itself; a Clutter
-        # is built for each of the 168 M and each connected memo entry, not
-        # per miss or per removal
+        # the memo keys on int (g, R) pairs and stores each clutter's flag,
+        # so no Clutter.__eq__ or __hash__ runs (1,438 __eq__ calls with
+        # Clutter keys).  core._spans runs once per clutter M at n=4 and once
+        # per memo entry, each on the key's element tuples, and is_connected
+        # not at all; a Clutter is built only for each of the 16 failing M
+        # and its one failing N, not per M, per memo entry or per removal
         calls = {"eq": 0, "hash": 0, "_spans": 0, "is_connected": 0, "Clutter": 0}
         real_eq, real_spans, real_connected = Clutter.__eq__, core._spans, core.is_connected
         real_init, real_hash = Clutter.__init__, Clutter.__hash__
@@ -406,9 +409,9 @@ class TestVerifyTheorem:
             calls["Clutter"] += 1
             real_init(self, ground, rows)
 
-        memo, members = {}, []
+        memo, members, code = {}, [], _Code("1234")
         for M in enumerate_connected(4):
-            enumeration._splitter_failures(M, memo, members)
+            enumeration._splitter_failures(code.key(M), memo, members, code)
         # the 40 connected clutters on 3 or fewer of the 4 labels
         assert (len(memo), len(members)) == (126, 40)
         monkeypatch.setattr(Clutter, "__eq__", counted_eq)
@@ -422,14 +425,121 @@ class TestVerifyTheorem:
             "eq": 0,
             "hash": 0,
             "_spans": 168 + 126,
-            "is_connected": 168,
-            "Clutter": 168 + 40,
+            "is_connected": 0,
+            "Clutter": 16 + 16,
         }
 
     def test_connected_proper_minors_deduplicates(self):
         M = new_clutter("12", [["1", "2"]])
         values = connected_proper_minors(M)
         assert len(values) == len(set(values))
+
+    def test_traced_peak_memory_bounded(self):
+        # the memo's int keys and bitsets at n=5 peak near 0.2 MB, where
+        # (ground, rows) keys of frozensets peaked at 0.77 MB
+        verify_theorem(5)  # any lazily built module state is not the run's
+        tracemalloc.start()
+        try:
+            verify_theorem(5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
+
+def assert_removal_keys_decode_to_removals(M, code):
+    """For each element v of M, the two keys that _removal_keys gives decode
+    to the (ground, rows) pairs of core._removals, and M's key to M."""
+    key = code.key(M)
+    assert code.clutter(key) == M
+    for v in sorted(M.ground):
+        index = code.masks[F({v})].bit_length() - 1
+        keys = enumeration._removal_keys(*key, index, code)
+        decoded = tuple((R.ground, R.rows) for R in map(code.clutter, keys))
+        assert decoded == core._removals(M.ground, M.rows, v), (M, v)
+
+
+class TestRemovalKeys:
+    """The theorem verifier's int-keyed removals against the frozenset ones."""
+
+    def test_every_clutter_up_to_five(self):
+        # the 7,780 clutters on 0..5 labels, under one encoding of 1..5
+        code = _Code("12345")
+        count = 0
+        for n in range(6):
+            for M in enumerate_clutters(n):
+                assert_removal_keys_decode_to_removals(M, code)
+                count += 1
+        assert count == sum(ANTICHAIN_COUNTS.values()) == 7780
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_six_to_eight_labels(self, data):
+        # "2" and "10" in every draw, so string order and number order differ
+        pool = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 11, 12])
+        others = st.lists(pool, unique=True, min_size=4, max_size=6)
+        labels = [str(i) for i in [2, 10] + data.draw(others, label="labels")]
+        row = st.frozensets(st.sampled_from(labels), max_size=len(labels))
+        drawn = set(data.draw(st.lists(row, max_size=12), label="rows"))
+        M = new_clutter(labels, [A for A in drawn if not any(B < A for B in drawn)])
+        assert_removal_keys_decode_to_removals(M, _Code(labels))
+
+    def test_labels_take_bits_in_sorted_order(self):
+        code = _Code(["2", "10", "1"])  # sorted: "1" < "10" < "2"
+        assert [code.masks[F({label})] for label in ("1", "10", "2")] == [1, 2, 4]
+        M = new_clutter(["1", "10", "2"], [["10", "2"], ["1"]])
+        assert code.key(M) == (0b111, 1 << 0b110 | 1 << 0b001)
+
+
+def contract_keys_unfiltered_at_last_element(real):
+    """_removal_keys, except that at the largest element of g the M/v key
+    keeps every stripped and every untouched row, minimal or not."""
+
+    def fault(g, R, v, code):
+        deleted, contracted = real(g, R, v, code)
+        if v == code.elems[g][-1]:
+            kept = deleted[1]
+            contracted = (deleted[0], kept | (R ^ kept) >> (1 << v))
+        return deleted, contracted
+
+    return fault
+
+
+def memo_marking_disconnected_connected(real):
+    """_connected_minors, except that the memo entry of a disconnected
+    clutter says it is connected."""
+
+    def fault(key, memo, members, code):
+        _, bits = real(key, memo, members, code)
+        entry = memo[key] = (True, bits)
+        return entry
+
+    return fault
+
+
+class TestTheoremFaults:
+    """A fault in the theorem verifier's kernel moves its n=4 report off the
+    pinned bytes."""
+
+    @pytest.mark.parametrize(
+        "name,fault",
+        [
+            ("_removal_keys", contract_keys_unfiltered_at_last_element),
+            ("_connected_minors", memo_marking_disconnected_connected),
+        ],
+    )
+    def test_fault_moves_report(self, name, fault, monkeypatch):
+        monkeypatch.setattr(enumeration, name, fault(getattr(enumeration, name)))
+        text = verify_theorem(4).render()
+        assert hashlib.sha256(text.encode()).hexdigest() != THEOREM_REPORT_SHA256[4]
+
+
+def in_witness_order(M, bits, members):
+    """enumeration._in_witness_order for a Clutter M and members listed as
+    clutters, each encoded by one _Code of M's labels."""
+    code = _Code(M.ground)
+    keys = [code.key(N) for N in members]
+    return enumeration._in_witness_order(code.key(M), bits, keys, code)
 
 
 class TestInWitnessOrder:
@@ -441,8 +551,8 @@ class TestInWitnessOrder:
         members = first_witness_order(M)[::-1]
         monkeypatch.setattr(minor, "has_minor", lambda M, N: pytest.fail("has_minor ran"))
         for i, N in enumerate(members):
-            assert enumeration._in_witness_order(M, 1 << i, members) == [N]
-        assert enumeration._in_witness_order(M, 0, members) == []
+            assert in_witness_order(M, 1 << i, members) == [N]
+        assert in_witness_order(M, 0, members) == []
 
     def test_two_bits_sorted(self):
         # ({1}; {1}) has exactly two connected proper minors: ([]; no row) by
@@ -451,7 +561,7 @@ class TestInWitnessOrder:
         order = first_witness_order(M)
         assert order == [Clutter(F(), F()), Clutter(F(), F({F()}))]
         members = order[::-1]
-        assert enumeration._in_witness_order(M, 0b11, members) == order
+        assert in_witness_order(M, 0b11, members) == order
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_three_or_more_bits_sorted(self, n):
@@ -461,7 +571,7 @@ class TestInWitnessOrder:
             for chosen in (order, order[:3], order[1::2]):
                 if len(chosen) >= 3:
                     bits = sum(1 << members.index(N) for N in chosen)
-                    assert enumeration._in_witness_order(M, bits, members) == chosen
+                    assert in_witness_order(M, bits, members) == chosen
 
 
 class TestKnownCounterexamples:
@@ -628,23 +738,25 @@ class TestVerifyIdentities:
 
     @pytest.mark.parametrize("n,pairs", [(3, 54), (4, 648)])
     def test_theorem_builds_each_removal_pair_in_one_call(self, n, pairs, monkeypatch):
-        # the theorem verifier takes M\v and M/v from one _removals call per
-        # (clutter, element) pair it visits
-        calls = {"_removals": 0, "delete": 0, "contract": 0}
+        # the theorem verifier takes the keys of M\v and M/v from one
+        # _removal_keys call per (clutter, element) pair it visits, and never
+        # calls the frozenset removals
+        calls = {"_removal_keys": 0, "_removals": 0, "delete": 0, "contract": 0}
 
-        def counted(name):
-            real = getattr(core, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(core, name, counted(name))
+        counted(enumeration, "_removal_keys")
+        for name in ("_removals", "delete", "contract"):
+            counted(core, name)
         verify_theorem(n)
-        assert calls == {"_removals": pairs, "delete": 0, "contract": 0}
+        assert calls == {"_removal_keys": pairs, "_removals": 0, "delete": 0, "contract": 0}
 
     def test_traced_peak_memory_bounded(self):
         verify_identities(4)  # any lazily built module state is not the run's
