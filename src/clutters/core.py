@@ -38,20 +38,18 @@ def row_sort_key(row: frozenset) -> tuple:
 class _Record:
     """Base of the package's immutable values.
 
-    A record class names its fields, in order, as its `__slots__`, with
-    `"__dict__"` last if it caches derived values.  A record is built from
-    its fields by position or keyword, cannot be changed after construction,
-    equals only a record of the same class with equal fields, hashes as the
-    tuple of its fields, and pickles and copies by calling its class with
-    its fields.  Fields are not inherited: every record class derives from
-    `_Record` directly.
+    A record class names its fields, in order, as its `__slots__`.  A record
+    is built from its fields by position or keyword, cannot be changed after
+    construction, equals only a record of the same class with equal fields,
+    hashes as the tuple of its fields, and pickles and copies by calling its
+    class with its fields.  Fields are not inherited: every record class
+    derives from `_Record` directly.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        cls._fields = fields
+        cls._fields = fields = cls.__slots__
         # __init__(self, <fields>) is compiled for each class, as dataclasses
         # does: Python binds the fields by position or keyword and raises the
         # TypeError, and each value goes to its slot's own setter, which

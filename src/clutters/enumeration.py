@@ -356,8 +356,8 @@ def verify_identities(n: int) -> VerificationReport:
     caches to one blocker per M plus the clutters on n-1 elements; no
     reference cycle holds them, so they are freed when the call returns.
     """
-    if not 0 <= n <= 4:
-        raise TooLarge(f"identity verification supports n between 0 and 4, got {n}")
+    if not 0 <= n <= 5:
+        raise TooLarge(f"identity verification supports n between 0 and 5, got {n}")
     removals, graph = core._removals, graphview.incidence_graph
     tested = dict.fromkeys(_FAMILIES, 0)
     failures = {name: [] for name in _FAMILIES}

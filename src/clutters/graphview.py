@@ -4,13 +4,13 @@ Black vertices are ground elements, white vertices are rows, and an edge
 joins an element to each row containing it.  White vertices are identified
 by the canonical key 'r:' + comma-joined ascending members ('r:-' for the
 empty row), so graphs of equal clutters are identical objects, not merely
-isomorphic.  In mixed vertex sets (components, neighbourhoods) a vertex is
-the tagged pair ('black', element) or ('white', row key).
+isomorphic.  Black and white names are disjoint, since a label may not start
+with 'r:' and every row key does; so components and graph_connected work on
+the plain names.  In mixed vertex sets (components, neighbourhoods) a vertex
+is the tagged pair ('black', element) or ('white', row key).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from . import core
 from .core import Clutter, _Record
@@ -30,25 +30,11 @@ def row_key(row: frozenset) -> str:
 class IncidenceGraph(_Record):
     """The bipartite incidence graph of a clutter: black vertices are its
     elements, white vertices its rows, and each element is joined to the
-    rows that contain it."""
+    rows that contain it.  No name is both black and white."""
 
     # black: the element labels; white: the row keys; edges: the (element,
-    # row key) pairs; __dict__ holds the cached _neighbours map
-    __slots__ = ("black", "white", "edges", "__dict__")
-
-    @cached_property
-    def _neighbours(self) -> dict:
-        """Each tagged vertex mapped to the frozenset of its tagged neighbours.
-
-        Derived once per graph; not a field, so equality, hashing and repr
-        see only the three fields above.
-        """
-        adj = {(BLACK, v): set() for v in self.black}
-        adj.update(((WHITE, w), set()) for w in self.white)
-        for v, w in self.edges:
-            adj[(BLACK, v)].add((WHITE, w))
-            adj[(WHITE, w)].add((BLACK, v))
-        return {x: frozenset(ns) for x, ns in adj.items()}
+    # row key) pairs
+    __slots__ = ("black", "white", "edges")
 
 
 class Neighbourhood(_Record):
@@ -82,35 +68,36 @@ def vertex_sort_key(vertex: Vertex) -> tuple:
 def neighbourhood(G: IncidenceGraph, vertex: Vertex) -> Neighbourhood:
     """Open and closed neighbourhoods of a tagged vertex.
 
-    Raises VertexNotFound for anything that is not a vertex of G, unhashable
-    values such as a list included.
+    Raises VertexNotFound for anything that is not a vertex of G, a list
+    with a vertex's items or a pair with an unhashable name included.
     """
+    kind, name = vertex if isinstance(vertex, tuple) and len(vertex) == 2 else (None, None)
     try:
-        open_ = G._neighbours[vertex]
-    except (KeyError, TypeError):
+        if kind == BLACK and name in G.black:
+            open_ = frozenset((WHITE, w) for v, w in G.edges if v == name)
+        elif kind == WHITE and name in G.white:
+            open_ = frozenset((BLACK, v) for v, w in G.edges if w == name)
+        else:
+            raise KeyError(vertex)
+    except (KeyError, TypeError):  # no such vertex, or an unhashable name
         raise VertexNotFound(f"no vertex {vertex!r}") from None
     return Neighbourhood(vertex, open_, open_ | {vertex})
-
-
-def _graph_edges(G: IncidenceGraph):
-    """The graph's edges over the vertices G._neighbours: one per white
-    vertex, made of it and its black neighbours."""
-    adjacency = G._neighbours
-    return (adjacency[(WHITE, w)] | {(WHITE, w)} for w in G.white)
 
 
 def components(G: IncidenceGraph) -> list:
     """Connected components as frozensets of tagged vertices, ordered by each
     part's least vertex."""
-    part = core._parts(G._neighbours, _graph_edges(G))
-    # a dict keeps each part's first position; parts are lists, keyed by id
-    met = {id(part[x]): part[x] for x in sorted(part, key=vertex_sort_key)}
-    return [frozenset(members) for members in met.values()]
+    part = core._parts(G.black | G.white, G.edges)
+    # disjoint names sort as vertex_sort_key sorts their tagged vertices; a
+    # dict keeps each part's first position; parts are lists, keyed by id
+    met = {id(part[x]): part[x] for x in sorted(part)}
+    black = G.black
+    return [frozenset((BLACK if x in black else WHITE, x) for x in xs) for xs in met.values()]
 
 
 def graph_connected(G: IncidenceGraph) -> bool:
     """True iff the graph has at most one connected component."""
-    return core._spans(G._neighbours, _graph_edges(G))
+    return core._spans(G.black | G.white, G.edges)
 
 
 def graph_connected_iff_clutter_connected(M: Clutter) -> bool:
@@ -139,11 +126,11 @@ def delete_closed_neighbourhood(G: IncidenceGraph, v: str) -> IncidenceGraph:
     M with v deleted.
     """
     _require_black(G, v)
-    gone_whites = {w for _, w in G._neighbours[(BLACK, v)]}
+    gone_whites = {w for u, w in G.edges if u == v}
     return IncidenceGraph(
         G.black - {v},
         G.white - gone_whites,
-        frozenset((u, w) for u, w in G.edges if w not in gone_whites),
+        frozenset(edge for edge in G.edges if edge[1] not in gone_whites),
     )
 
 
@@ -154,9 +141,11 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
     happen when v has a twin.
     """
     _require_black(G, v)
-    mapping = {
-        w: row_key({u for _, u in G._neighbours[(WHITE, w)] if u != v}) for w in G.white
-    }
+    kept = {w: set() for w in G.white}  # each white's black neighbours but v
+    for u, w in G.edges:
+        if u != v:
+            kept[w].add(u)
+    mapping = {w: row_key(us) for w, us in kept.items()}
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("removing this black vertex merges white vertices")
     return IncidenceGraph(
@@ -169,9 +158,17 @@ def remove_black_vertex(G: IncidenceGraph, v: str) -> IncidenceGraph:
 def twins(G: IncidenceGraph, v: str) -> frozenset:
     """All black vertices other than v with the same open neighbourhood."""
     _require_black(G, v)
-    adj = G._neighbours
-    mine = adj[(BLACK, v)]
-    return frozenset(u for u in G.black if u != v and adj[(BLACK, u)] == mine)
+    hoods = _white_neighbours(G)
+    mine = hoods.pop(v)
+    return frozenset(u for u, ws in hoods.items() if ws == mine)
+
+
+def _white_neighbours(G: IncidenceGraph) -> dict:
+    """Each black vertex mapped to the set of its white neighbours' names."""
+    hoods = {v: set() for v in G.black}
+    for v, w in G.edges:
+        hoods[v].add(w)
+    return hoods
 
 
 def contract_twin(M: Clutter, v: str) -> Clutter:
@@ -188,8 +185,8 @@ def contract_twin(M: Clutter, v: str) -> Clutter:
 
 def minimal_black_vertices(G: IncidenceGraph) -> frozenset:
     """Black vertices whose open neighbourhood properly contains no other's."""
-    hoods = [G._neighbours[(BLACK, v)] for v in G.black]
-    return frozenset(v for v, ns in zip(G.black, hoods) if not any(ws < ns for ws in hoods))
+    hoods = _white_neighbours(G)
+    return frozenset(v for v, ns in hoods.items() if not any(ws < ns for ws in hoods.values()))
 
 
 def good_components(G: IncidenceGraph, u: str) -> list:

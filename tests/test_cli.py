@@ -274,6 +274,19 @@ class TestVerify:
             "e089372013b223ba1ef1a78d30201067e4f87b9e0262aea30917c1a2bfedf8a9"
         )
 
+    def test_default_n5_prints_both_reports(self, capsys):
+        assert main(["verify", "--n", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        identities, theorem = "".join(lines[:6]), "".join(lines[6:])  # six families
+        # the values pinned as N5_IDENTITIES_REPORT_SHA256 and
+        # THEOREM_REPORT_SHA256[5] in test_enumeration
+        assert hashlib.sha256(identities.encode()).hexdigest() == (
+            "4a1c26b4f82acdbb8aa87109f12a5b070f26a4e11fd8ef16c9f21c7911efe395"
+        )
+        assert hashlib.sha256(theorem.encode()).hexdigest() == (
+            "e089372013b223ba1ef1a78d30201067e4f87b9e0262aea30917c1a2bfedf8a9"
+        )
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -329,9 +342,9 @@ class TestExitCodes:
         assert done.stdout == ""
         assert done.stderr == "error: duplicated labels: x123 x77\n"
 
-    def test_identities_beyond_n4_is_domain_error(self, capsys):
-        # without --theorem the identity families run too, and they stop at n=4
-        assert main(["verify", "--n", "5"]) == 2
+    def test_identities_beyond_n5_is_domain_error(self, capsys):
+        # the identity families stop at n=5
+        assert main(["verify", "--n", "6", "--identities"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

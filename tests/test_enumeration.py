@@ -119,6 +119,10 @@ THEOREM_REPORT_SHA256 = {
 # function still scanned the edge set on its own
 IDENTITIES_REPORT_SHA256 = "3ef7fdd35a2a086c4318e7491f5b015f541caf99a5223c4e1cb36942f350407d"
 
+# sha256 of verify_identities(5).render() as produced by the verifier whose
+# graph primitives read a cached neighbour map, with only its cap raised to 5
+N5_IDENTITIES_REPORT_SHA256 = "4a1c26b4f82acdbb8aa87109f12a5b070f26a4e11fd8ef16c9f21c7911efe395"
+
 # sha256 of verify_identities(n).render() for n<4 as produced by the verifier
 # that walked the enumeration once per family
 SMALL_IDENTITIES_REPORT_SHA256 = {
@@ -645,6 +649,19 @@ class TestVerifyIdentities:
         text = verify_identities(4).render()
         assert hashlib.sha256(text.encode()).hexdigest() == IDENTITIES_REPORT_SHA256
 
+    def test_n5_report_pinned(self):
+        report = verify_identities(5)
+        assert [(r.tested, r.passed) for r in report.results] == [
+            (151620, 151620),
+            (7581, 7581),
+            (37905, 37905),
+            (7581, 7581),
+            (1545, 1545),
+            (37905, 37905),
+        ]
+        text = report.render()
+        assert hashlib.sha256(text.encode()).hexdigest() == N5_IDENTITIES_REPORT_SHA256
+
     @pytest.mark.parametrize("n", sorted(SMALL_IDENTITIES_REPORT_SHA256))
     def test_small_report_bytes_pinned(self, n):
         text = verify_identities(n).render()
@@ -770,7 +787,7 @@ class TestVerifyIdentities:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            verify_identities(5)
+            verify_identities(6)
 
 
 @pytest.mark.parametrize("verify", [verify_identities, verify_theorem], ids=["identities", "theorem"])

@@ -124,6 +124,15 @@ def scan_components(G):
     return sorted(parts, key=lambda p: vertex_sort_key(min(p, key=vertex_sort_key)))
 
 
+def scan_remove_black(G, v):
+    """The graph of the rows of G less v, each row read by an edge scan, or
+    None where two of them become one."""
+    rows = [F(u for _, u in scan_open(G, (WHITE, w))) - {v} for w in G.white]
+    if len(set(rows)) < len(rows):
+        return None
+    return incidence_graph(core.Clutter(G.black - {v}, F(rows)))
+
+
 class TestComponentsSampled:
     """components against the scan_components oracle on larger graphs, and on
     the graphs derived from them, which have isolated vertices of both colours."""
@@ -229,13 +238,15 @@ class TestPartsStopAtSpanningMerge:
         assert find_separation(M) is None
         assert naive_separation(M) is None
         G = incidence_graph(M)
-        # in the graph the last star always makes the spanning merge: its
-        # white vertex is a part of its own until then
-        adjacency = G._neighbours
-        keys = [graphview.row_key(A) for A in self.EDGES]
-        stars = [adjacency[(WHITE, w)] | {(WHITE, w)} for w in keys]
-        part = core._parts(adjacency, stars)
-        assert frozen_parts(part) == set(scan_components(G))
+        # the graph's edges row by row, on the plain names that components
+        # passes: the last edge joins 5 and 6 to the part of 1, 2, 3, 4 and
+        # the white vertex of {4, 5}, so it makes the spanning merge
+        edges = [(v, graphview.row_key(A)) for A in self.EDGES for v in sorted(A)]
+        assert set(edges) == G.edges
+        vertices = G.black | G.white
+        assert not core._spans(vertices, edges[:-1])
+        part = core._parts(vertices, edges)
+        assert frozen_parts(part) == {F(x for _, x in p) for p in scan_components(G)}
         assert components(G) == scan_components(G)
 
     def test_no_spanning_merge_with_an_element_in_no_row(self):
@@ -246,23 +257,25 @@ class TestPartsStopAtSpanningMerge:
         assert components(G) == scan_components(G)
 
 
-class TestNeighbourMap:
-    def test_invisible_to_equality_hash_and_repr(self):
+class TestGraphReadsItsEdges:
+    def test_primitives_leave_a_plain_value(self):
         used = incidence_graph(PATH)
-        twins(used, "1")
-        assert "_neighbours" in vars(used)
+        for x in [(BLACK, v) for v in used.black] + [(WHITE, w) for w in used.white]:
+            neighbourhood(used, x)
+        components(used)
+        graph_connected(used)
+        minimal_black_vertices(used)
+        minimal_good_components(used)
+        to_dot(used)
+        for v in sorted(used.black):
+            delete_closed_neighbourhood(used, v)
+            remove_black_vertex(used, v)
+            twins(used, v)
+        good_components(used, "1")
         fresh = incidence_graph(PATH)
-        assert "_neighbours" not in vars(fresh)
+        assert not hasattr(used, "__dict__")
         assert used == fresh
         assert hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
-        assert len({used, fresh}) == 1
-
-    def test_twins_and_minimal_vertices_cache_only_the_neighbour_map(self):
-        G = incidence_graph(PATH)
-        twins(G, "1")
-        minimal_black_vertices(G)
-        assert set(vars(G)) == {"_neighbours"}
 
     def test_agrees_with_edge_scans_everywhere(self):
         for n in range(5):
@@ -287,6 +300,14 @@ class TestNeighbourMap:
                     )
                 )
                 assert components(G) == scan_components(G)
+                assert graph_connected(G) == (len(scan_components(G)) <= 1)
+                for v in G.black:
+                    expected = scan_remove_black(G, v)
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            remove_black_vertex(G, v)
+                    else:
+                        assert remove_black_vertex(G, v) == expected
 
 
 class TestConnectivityEquivalence:
@@ -324,13 +345,21 @@ class TestNeighbourhood:
 
     @pytest.mark.parametrize(
         "vertex",
-        [("grey", "2"), (BLACK, "r:1,2"), (WHITE, "2"), (BLACK, "1", "x"), [BLACK, "1"]],
+        [
+            ("grey", "2"),
+            (BLACK, "r:1,2"),
+            (WHITE, "2"),
+            (BLACK, "1", "x"),
+            [BLACK, "1"],
+            (BLACK, ["1"]),
+        ],
         ids=[
             "wrong-tag",
             "white-name-as-black",
             "black-name-as-white",
             "not-a-pair",
             "unhashable-list",
+            "unhashable-name",
         ],
     )
     def test_malformed_vertex(self, vertex):
