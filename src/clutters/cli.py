@@ -15,8 +15,9 @@ import io
 import os
 import sys
 
-from . import core, enumeration, graphview, minor, splitter
-from .blocker import blocker
+# every command needs `core` and `errors`; each handler imports the module it
+# runs, so a command compiles and runs no other library module
+from . import core
 from .core import Clutter
 from .errors import ClutterError, ParseError, TheoremCounterexample
 
@@ -53,6 +54,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_blocker(args) -> int:
+    from .blocker import blocker
+
     _print_clutter(blocker(_load(args.file)))
     return 0
 
@@ -67,18 +70,24 @@ def _format_minor_spec(spec: core.MinorSpec) -> str:
 
 
 def cmd_minor(args) -> int:
+    from . import minor
+
     spec = minor.has_minor(_load(args.file_m), _load(args.file_n))
     sys.stdout.write("none\n" if spec is None else _format_minor_spec(spec))
     return 0
 
 
 def cmd_splitter(args) -> int:
+    from . import splitter
+
     step = splitter.find_splitter(_load(args.file_m), _load(args.file_n))
     sys.stdout.write(splitter.format_step(step))
     return 0
 
 
 def cmd_chain(args) -> int:
+    from . import splitter
+
     M = _load(args.file_m)
     if args.file_n is None:
         result = splitter.chain_to_empty(M)
@@ -89,11 +98,15 @@ def cmd_chain(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from . import graphview
+
     sys.stdout.write(graphview.to_dot(graphview.incidence_graph(_load(args.file))))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import enumeration
+
     run_theorem = args.theorem or not args.identities
     run_identities = args.identities or not args.theorem
     if run_identities:
@@ -228,6 +241,8 @@ def main(argv: list | None = None) -> int:
         _diagnose(f"error: {exc}\n")
         return 65
     except TheoremCounterexample as exc:
+        from . import splitter
+
         _diagnose(f"error: {exc}\n" + splitter.counterexample_report(exc.M, exc.N))
         return 2
     except ClutterError as exc:

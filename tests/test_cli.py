@@ -438,6 +438,33 @@ class TestFailedStdout:
         assert main(["show", write(PATH_TEXT)]) == 74
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+        reason="no /dev/full or /proc/self/fd",
+    )
+    def test_in_process_failure_leaks_no_descriptor(self, write):
+        # main points descriptor 1 at the null device before it returns 74;
+        # the descriptor it opens to do so is closed again
+        code = (
+            "import os, sys; from clutters.cli import main; "
+            "before = set(os.listdir('/proc/self/fd')); "
+            "code = main(['show', sys.argv[1]]); "
+            "print(code, sorted(set(os.listdir('/proc/self/fd')) - before), file=sys.stderr)"
+        )
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, write(PATH_TEXT)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=60,
+            )
+        assert proc.stderr.splitlines() == [
+            "error: [Errno 28] No space left on device",
+            "74 []",
+        ]
+
 
 class TestFailedStderr:
     """A failure whose diagnostics cannot be written to stderr, because it is
@@ -478,3 +505,92 @@ class TestFailedStderr:
         with open("/dev/full", "w") as full:
             proc = self.run(make_argv(write), stderr=full)
         assert (proc.returncode, proc.stdout) == (code, "")
+
+    def test_block_buffered_stderr_is_flushed_in_main(self, write, monkeypatch):
+        # the interpreter's stderr is line-buffered, but an in-process caller's
+        # may not be: the diagnostic is written out, or fails, before main
+        # returns, not when the stream is next flushed
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert main(["show", write("rows 1 2\n")]) == 65
+        assert raw.getvalue().startswith(b"error: ")
+
+
+# Runs the CLI as `python -m clutters.cli` would, then writes the names of the
+# package's submodules that have run (one that has not run is still of a
+# ModuleType subclass) to the file named first.
+# Under -W error, runpy's warning for a clutters.cli already in sys.modules
+# would fail the run.
+FOOTPRINT = """\
+import runpy, sys, types
+report = sys.argv.pop(1)
+try:
+    runpy.run_module("clutters.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(report, "w") as handle:
+    handle.write(" ".join(sorted(
+        name.removeprefix("clutters.") for name, module in sys.modules.items()
+        if name.startswith("clutters.") and type(module) is types.ModuleType
+    )))
+sys.exit(code)
+"""
+
+
+class TestStartFootprint:
+    """A command runs only the library modules it calls: `import clutters`
+    runs none, and every command needs `core` and `errors`."""
+
+    BASE = {"core", "errors"}
+    CASES = {
+        "show": (lambda f: ["show", f["M"]], 0, set()),
+        "connected": (lambda f: ["connected", f["M"]], 0, set()),
+        "delete": (lambda f: ["delete", f["M"], "-e", "a"], 0, set()),
+        "contract": (lambda f: ["contract", f["M"], "-e", "a"], 0, set()),
+        "malformed": (lambda f: ["show", f["bad"]], 65, set()),
+        "usage": (lambda f: ["no-such-command"], 64, set()),
+        "minor": (lambda f: ["minor", f["M"], f["N"]], 0, {"minor"}),
+        "dot": (lambda f: ["dot", f["M"]], 0, {"graphview"}),
+        "blocker": (lambda f: ["blocker", f["M"]], 0, {"blocker"}),
+        "splitter": (lambda f: ["splitter", f["M"], f["N"]], 0, {"minor", "splitter"}),
+        "chain": (lambda f: ["chain", f["M"], f["N"]], 0, {"minor", "splitter"}),
+        "chain.empty": (lambda f: ["chain", f["M"]], 0, {"minor", "splitter"}),
+        # only the counterexample report reads the incidence graph
+        "splitter.counterexample": (
+            lambda f: ["splitter", f["M"], f["end"]],
+            2,
+            {"minor", "splitter", "graphview"},
+        ),
+        "verify": (
+            lambda f: ["verify", "--n", "1"],
+            0,
+            {"enumeration", "graphview", "blocker"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_modules_run(self, tmp_path, case):
+        texts = {
+            "M": "elements a b c\nrow a b\nrow b c\n",
+            "N": "elements a b\nrow a b\n",
+            "end": "elements c\nrow -\n",
+            "bad": "elements a b\nrows a b\n",
+        }
+        files = {}
+        for key, text in texts.items():
+            files[key] = str(tmp_path / f"{key}.txt")
+            Path(files[key]).write_text(text, encoding="utf-8")
+        make_argv, code, extra = self.CASES[case]
+        report = tmp_path / "modules.txt"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", FOOTPRINT, str(report), *make_argv(files)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        ran = set(report.read_text().split())
+        assert ran == self.BASE | extra

@@ -2,7 +2,10 @@
 
 import inspect
 import itertools
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -462,12 +465,63 @@ class TestSerialization:
 
 
 def test_package_all_lists_every_public_name():
+    # the package binds a module's names only once the module has run, and
+    # dir() lists them all before that
     public = {
         name
-        for name, value in vars(clutters).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(clutters)
+        if not name.startswith("_")
+        and not isinstance(getattr(clutters, name), types.ModuleType)
     }
     assert set(clutters.__all__) == public
+    for name in clutters.__all__:
+        value = getattr(clutters, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("clutters.")
+        assert value is getattr(module, name)
+    assert clutters.blocker is sys.modules["clutters.blocker"].blocker
+    assert clutters.core is core
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        clutters.nonesuch
+
+
+# Eight threads use the package for the first time at once, each running
+# `core` and `minor`; prints the threads still alive and the errors raised.
+FIRST_USE = """\
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+sys.setswitchinterval(1e-6)
+import clutters
+barrier = threading.Barrier(8)
+errors = []
+def first_use():
+    barrier.wait()
+    try:
+        M = clutters.new_clutter(["a", "b"], [["a", "b"]])
+        clutters.has_minor(M, M)
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(sum(thread.is_alive() for thread in threads), errors)
+"""
+
+
+def test_first_use_from_many_threads():
+    # a submodule runs under a lock, so no thread reads it half-run
+    src = str(Path(clutters.__file__).resolve().parents[1])
+    for _ in range(3):
+        proc = subprocess.run(
+            [sys.executable, "-c", FIRST_USE, src],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert proc.stdout == "0 []\n"
 
 
 def test_record_constructors_take_exactly_their_fields():
